@@ -79,7 +79,7 @@ func (t *httpTransport) query(ctx context.Context, endpoint string, params url.V
 		return meta, remoteError(resp.StatusCode, resp.Header, body)
 	}
 	if into != nil {
-		if err := json.Unmarshal(body, into); err != nil {
+		if err := decodeInto(body, into); err != nil {
 			return meta, fmt.Errorf("egclient: decoding %s response: %w", endpoint, err)
 		}
 	}

@@ -261,7 +261,7 @@ func (t *wireTransport) query(ctx context.Context, endpoint string, params url.V
 	}
 	meta := Meta{Revision: rev, Cache: wire.CacheName(frame.Flags)}
 	if into != nil {
-		if err := json.Unmarshal(body, into); err != nil {
+		if err := decodeInto(body, into); err != nil {
 			return meta, fmt.Errorf("egclient: decoding %s response: %w", endpoint, err)
 		}
 	}

@@ -3,8 +3,10 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/ds"
 	"repro/internal/egraph"
 	"repro/internal/temporal"
 )
@@ -84,12 +86,59 @@ func (s *Server) bfs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), err.Error())
 		return
 	}
-	resp := BFSResponse{Root: tnJSON(p.g, root), Levels: res.LevelSizes()}
+	s.writeBody(w, http.StatusOK, encodeBFS(p.g, root, res))
+}
+
+// encodeBFS returns the /bfs body for res: byte for byte what writeJSON
+// makes of the BFSResponse (TestBFSBodyIsMarshalledResponse is the
+// specification), appended into one presized buffer instead of built as
+// one BFSEntry per reached temporal node for encoding/json to reflect
+// over. A successful search reaches at least its root, so neither list
+// is ever JSON null.
+func encodeBFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, res *core.Result) []byte {
+	levels := res.LevelSizes()
+	// An entry, {"node":N,"stamp":S,"label":L,"dist":D}, is ~45 bytes.
+	dst := make([]byte, 0, 64+48*res.NumReached()+8*len(levels))
+	dst = append(dst, `{"root":{"node":`...)
+	dst = strconv.AppendInt(dst, int64(root.Node), 10)
+	dst = appendStampLabel(dst, g, root.Stamp)
+	dst = append(dst, `},"reached":[`...)
+	// Visit runs stamp-major, so the `,"stamp":S,"label":L,"dist":`
+	// middle of an entry is re-rendered once per stamp, not per entry.
+	var mid []byte
+	stamp := int32(-1)
 	res.Visit(func(tn egraph.TemporalNode, d int) bool {
-		resp.Reached = append(resp.Reached, BFSEntry{TemporalNodeJSON: tnJSON(p.g, tn), Dist: d})
+		if tn.Stamp != stamp {
+			stamp = tn.Stamp
+			mid = append(appendStampLabel(mid[:0], g, stamp), `,"dist":`...)
+		}
+		if dst[len(dst)-1] == '}' { // not the first entry, which follows '['
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"node":`...)
+		dst = strconv.AppendInt(dst, int64(tn.Node), 10)
+		dst = append(dst, mid...)
+		dst = strconv.AppendInt(dst, int64(d), 10)
+		dst = append(dst, '}')
 		return true
 	})
-	s.writeJSON(w, http.StatusOK, resp)
+	dst = append(dst, `],"levels":[`...)
+	for i, n := range levels {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendStampLabel appends the stamp and label fields of a
+// TemporalNodeJSON, each preceded by its comma.
+func appendStampLabel(dst []byte, g *egraph.IntEvolvingGraph, stamp int32) []byte {
+	dst = append(dst, `,"stamp":`...)
+	dst = strconv.AppendInt(dst, int64(stamp), 10)
+	dst = append(dst, `,"label":`...)
+	return strconv.AppendInt(dst, g.TimeLabel(int(stamp)), 10)
 }
 
 // PathResponse is the wire form of /path.
@@ -144,15 +193,15 @@ func (s *Server) reach(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), err.Error())
 		return
 	}
-	distinct := make(map[int32]bool)
+	distinct := ds.NewBitSet(p.g.NumNodes())
 	res.Visit(func(tn egraph.TemporalNode, _ int) bool {
-		distinct[tn.Node] = true
+		distinct.Set(int(tn.Node))
 		return true
 	})
 	s.writeJSON(w, http.StatusOK, ReachResponse{
 		Root:          tnJSON(p.g, root),
 		TemporalNodes: res.NumReached(),
-		DistinctNodes: len(distinct),
+		DistinctNodes: distinct.Count(),
 		MaxDist:       res.MaxDist(),
 	})
 }

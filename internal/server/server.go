@@ -621,12 +621,25 @@ func (r *statusRecorder) WriteHeader(status int) {
 	r.ResponseWriter.WriteHeader(status)
 }
 
+// writeJSON answers v as compact JSON and a trailing newline, what
+// every endpoint answers (DESIGN.md §10); `jq .` reads it indented.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	s.logEncodeErr(json.NewEncoder(w).Encode(v))
+}
+
+// writeBody answers an already encoded JSON body, as writeJSON would
+// have written it.
+func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, err := w.Write(body)
+	s.logEncodeErr(err)
+}
+
+func (s *Server) logEncodeErr(err error) {
+	if err != nil {
 		// Mid-body failures (client gone, marshal bug) have no recovery
 		// path — the status line is already written — but they must not
 		// vanish either. Log the first one; a churning client pool
