@@ -71,40 +71,6 @@ func BenchmarkEngineCSRVsMaps(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridBFS compares the direction-optimizing BFS against the
-// plain top-down BFS on a dense, low-diameter graph (bottom-up's home
-// turf) and on a sparse graph (where it should not help much).
-func BenchmarkHybridBFS(b *testing.B) {
-	cases := []struct {
-		name  string
-		nodes int
-		edges int
-	}{
-		{"dense-low-diameter", 5_000, 500_000},
-		{"sparse", 50_000, 200_000},
-	}
-	for _, tc := range cases {
-		g := evolving.Random(evolving.RandomConfig{
-			Nodes: tc.nodes, Stamps: 8, Edges: tc.edges, Directed: true, Seed: 29,
-		})
-		root := evolving.TemporalNode{Node: int32(g.ActiveNodes(0).NextSet(0)), Stamp: 0}
-		b.Run("topdown/"+tc.name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				if _, err := evolving.BFS(g, root, evolving.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("hybrid/"+tc.name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				if _, err := evolving.HybridBFS(g, root, evolving.HybridOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPageRankWarmVsCold measures the ref. [2] trick: warm-starting
 // each snapshot's PageRank from the previous one on a slowly changing
 // graph.

@@ -217,15 +217,6 @@ func SparseABFS(g *Graph, root TemporalNode, mode CausalMode) (algebra.Reached, 
 	return algebra.SparseABFS(g, root, mode)
 }
 
-// HybridOptions configures the direction-optimizing BFS.
-type HybridOptions = core.HybridOptions
-
-// HybridBFS is the direction-optimizing (top-down/bottom-up) Algorithm 1
-// variant.
-func HybridBFS(g *Graph, root TemporalNode, opts HybridOptions) (*Result, error) {
-	return core.HybridBFS(g, root, opts)
-}
-
 // DFSEvent labels depth-first traversal callbacks.
 type DFSEvent = core.DFSEvent
 

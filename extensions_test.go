@@ -7,8 +7,8 @@ import (
 	evolving "repro"
 )
 
-// The extension surface: future-work sparse algebraic BFS, the
-// direction-optimizing BFS, connectivity, and ranking.
+// The extension surface: future-work sparse algebraic BFS,
+// connectivity, and ranking.
 func TestPublicAPIExtensions(t *testing.T) {
 	g := evolving.Figure1Graph()
 	root := evolving.TemporalNode{Node: 0, Stamp: 0}
@@ -17,11 +17,6 @@ func TestPublicAPIExtensions(t *testing.T) {
 	sparse, err := evolving.SparseABFS(g, root, evolving.CausalAllPairs)
 	if err != nil || sparse[target] != 3 {
 		t.Fatalf("SparseABFS = %v, %v", sparse, err)
-	}
-
-	hyb, err := evolving.HybridBFS(g, root, evolving.HybridOptions{})
-	if err != nil || hyb.Dist(target) != 3 {
-		t.Fatal("HybridBFS disagrees")
 	}
 
 	weak := evolving.WeakComponents(g, evolving.CausalAllPairs)

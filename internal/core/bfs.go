@@ -87,6 +87,8 @@ type Result struct {
 	parent  []int32 // temporal-node id of BFS-tree parent, -1 at root/unreached
 	reached int     // number of reached temporal nodes (including root)
 	levels  []int   // levels[k] = number of nodes at distance k
+
+	bottomUp int // levels the CSR engine expanded bottom-up
 }
 
 // Root returns the search root.
@@ -135,9 +137,10 @@ func (r *Result) Parent(tn egraph.TemporalNode) (parent egraph.TemporalNode, ok 
 // (metrics closeness/efficiency, DESIGN.md §9). Iteration stops early
 // if fn returns false.
 func (r *Result) Visit(fn func(tn egraph.TemporalNode, dist int) bool) {
-	for id, d := range r.dist {
-		if d >= 0 {
-			if !fn(r.g.TemporalNodeFromID(id), int(d)) {
+	n := r.g.NumNodes()
+	for t := 0; t < r.g.NumStamps(); t++ {
+		for v, d := range r.dist[t*n : (t+1)*n] {
+			if d >= 0 && !fn(egraph.TemporalNode{Node: int32(v), Stamp: int32(t)}, int(d)) {
 				return
 			}
 		}
@@ -182,31 +185,40 @@ func (r *Result) PathTo(tn egraph.TemporalNode) []egraph.TemporalNode {
 // dictionary. The root must be an active temporal node of g.
 //
 // By default the search runs on the flat CSR/bitset engine (DESIGN.md
-// §8); set Options.UseAdjacencyMaps to traverse the per-stamp adjacency
-// directly instead. Distances, parents and level sizes are identical
-// either way.
+// §8), which expands a level bottom-up once the frontier outnumbers the
+// unvisited temporal nodes; set Options.UseAdjacencyMaps to traverse the
+// per-stamp adjacency directly instead. Distances, parents and level
+// sizes are identical either way.
 func BFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) (*Result, error) {
-	if err := checkRoot(g, root); err != nil {
-		return nil, err
-	}
-	r := newResult(g, root, opts)
-	rootID := g.TemporalNodeID(root)
-	r.dist[rootID] = 0
-	r.reached = 1
-	r.levels = []int{1}
-	r.run(g, []int32{int32(rootID)}, opts)
-	return r, nil
+	return search(g, []egraph.TemporalNode{root}, opts, frontierOutnumbers)
 }
 
-// run expands the seeded frontier to exhaustion on the engine opts
-// selects. Seeds must already be recorded in r (dist 0, reached count,
-// level 0).
-func (r *Result) run(g *egraph.IntEvolvingGraph, seeds []int32, opts Options) {
+// search runs one BFS from a non-empty root set, with rule choosing the
+// direction of each CSR-engine level.
+func search(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Options, rule levelRule) (*Result, error) {
+	for _, root := range roots {
+		if err := checkRoot(g, root); err != nil {
+			return nil, err
+		}
+	}
+	r := newResult(g, roots[0], opts)
+	seeds := make([]int32, 0, 1) // constant capacity: a single root stays off the heap
+	for _, root := range roots {
+		id := g.TemporalNodeID(root)
+		if r.dist[id] == 0 {
+			continue // duplicate root
+		}
+		r.dist[id] = 0
+		r.reached++
+		seeds = append(seeds, int32(id))
+	}
+	r.levels = []int{len(seeds)}
 	if opts.UseAdjacencyMaps {
 		runReference(g, r, seeds, opts)
 	} else {
-		runCSR(g, r, seeds, opts)
+		runCSR(g, r, seeds, opts, rule)
 	}
+	return r, nil
 }
 
 // runReference is the original adjacency-map engine: frontier expansion
@@ -366,25 +378,7 @@ func MultiSourceBFS(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opt
 	if len(roots) == 0 {
 		return nil, errors.New("core: MultiSourceBFS needs at least one root")
 	}
-	for _, root := range roots {
-		if err := checkRoot(g, root); err != nil {
-			return nil, err
-		}
-	}
-	r := newResult(g, roots[0], opts)
-	frontier := make([]int32, 0, len(roots))
-	for _, root := range roots {
-		id := g.TemporalNodeID(root)
-		if r.dist[id] == 0 {
-			continue // duplicate root
-		}
-		r.dist[id] = 0
-		r.reached++
-		frontier = append(frontier, int32(id))
-	}
-	r.levels = []int{len(frontier)}
-	r.run(g, frontier, opts)
-	return r, nil
+	return search(g, roots, opts, frontierOutnumbers)
 }
 
 // Reachable reports whether (w, s) is reachable from (v, t) (Def. 7),

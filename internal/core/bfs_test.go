@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -77,6 +78,38 @@ func TestFigure1Distances(t *testing.T) {
 		if ls[i] != want[i] {
 			t.Fatalf("LevelSizes = %v, want %v", ls, want)
 		}
+	}
+}
+
+// Visit's documented contract: reached nodes in ascending temporal-node
+// id order (stamp-major, node-ascending) with their distances, stopping
+// as soon as fn returns false.
+func TestVisitOrderAndEarlyStop(t *testing.T) {
+	g := egraph.Figure1Graph()
+	res, err := BFS(g, tn(0, 0), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []egraph.TemporalNode{tn(0, 0), tn(1, 0), tn(0, 1), tn(2, 1), tn(1, 2), tn(2, 2)}
+	wantDist := []int{0, 1, 1, 2, 2, 3}
+	var got []egraph.TemporalNode
+	res.Visit(func(n egraph.TemporalNode, d int) bool {
+		if i := len(got); i < len(want) && d != wantDist[i] {
+			t.Fatalf("Visit gave %v at distance %d, want %d", n, d, wantDist[i])
+		}
+		got = append(got, n)
+		return true
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("Visit order %v, want %v", got, want)
+	}
+	calls := 0
+	res.Visit(func(egraph.TemporalNode, int) bool {
+		calls++
+		return calls < 3
+	})
+	if calls != 3 {
+		t.Fatalf("Visit made %d calls after fn returned false on the 3rd", calls)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -21,61 +22,53 @@ import (
 // searches / ascending for backward): with identical discovery order
 // the two engines produce bit-identical distance, parent and level
 // arrays, which is what the differential tests assert.
+//
+// Each level runs top-down or bottom-up (direction-optimizing BFS,
+// Beamer, Asanović & Patterson, SC'12). A bottom-up level claims the
+// same set of nodes at the same distance, so distances, level sizes and
+// Visit order do not depend on the choice; only parents would, which is
+// why parent-tracking searches never go bottom-up.
 
 var frontierPool = sync.Pool{New: func() interface{} { return new(ds.Frontier) }}
 
-// runCSR expands the seeded frontier to exhaustion over g.CSR().
-// Seeds must already be recorded in r (dist 0, reached, level 0).
-func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options) {
+// levelRule decides, before each level of a search that does not track
+// parents, whether that level runs bottom-up. frontier is the size of
+// the current frontier and unvisited the number of active temporal nodes
+// not yet reached.
+type levelRule func(frontier, unvisited int) bool
+
+// frontierOutnumbers is the rule every exported search uses: go
+// bottom-up once the frontier holds more temporal nodes than remain
+// unvisited. A top-down level then scans every arc out of the frontier
+// to claim at most |unvisited| nodes, while a bottom-up level makes at
+// most one first-hit scan per unvisited node.
+func frontierOutnumbers(frontier, unvisited int) bool { return frontier > unvisited }
+
+// runCSR expands the seeded frontier to exhaustion over g.CSR(),
+// choosing each level's direction with rule. Seeds must already be
+// recorded in r (dist 0, reached, level 0).
+func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, rule levelRule) {
 	csr := g.CSR()
 	f := frontierPool.Get().(*ds.Frontier)
 	f.Reset(csr.Size())
 	f.Seed(seeds...)
 
-	n := int32(csr.N)
 	useOut := (opts.Direction == Forward) != opts.ReverseEdges
 	forward := opts.Direction == Forward
 	consecutive := opts.Mode == egraph.CausalConsecutive
 	dist, parent := r.dist, r.parent
+	active := g.NumActiveNodes()
 
 	k := int32(1)
 	for len(f.Cur) > 0 {
 		if opts.MaxDepth > 0 && int(k) > opts.MaxDepth {
 			break
 		}
-		for _, id := range f.Cur {
-			// Static arcs within this stamp.
-			var arcs []int32
-			if useOut {
-				arcs = csr.OutAdj[csr.OutPtr[id]:csr.OutPtr[id+1]]
-			} else {
-				arcs = csr.InAdj[csr.InPtr[id]:csr.InPtr[id+1]]
-			}
-			for _, nb := range arcs {
-				if !f.Visited.TestAndSet(int(nb)) {
-					dist[nb] = k
-					if parent != nil {
-						parent[nb] = id
-					}
-					f.Push(nb)
-				}
-			}
-			// Causal arcs: the node's active-stamp row around this stamp.
-			stamps, v := csr.CausalArcs(id, forward, consecutive)
-			for i := range stamps {
-				s := stamps[i]
-				if forward {
-					s = stamps[len(stamps)-1-i] // oracle order: descending
-				}
-				nb := s*n + v
-				if !f.Visited.TestAndSet(int(nb)) {
-					dist[nb] = k
-					if parent != nil {
-						parent[nb] = id
-					}
-					f.Push(nb)
-				}
-			}
+		if parent == nil && rule(len(f.Cur), active-r.reached) {
+			bottomUpLevel(csr, f, dist, k, useOut, forward, consecutive)
+			r.bottomUp++
+		} else {
+			topDownLevel(csr, f, dist, parent, k, useOut, forward, consecutive)
 		}
 		if len(f.Next) > 0 {
 			r.levels = append(r.levels, len(f.Next))
@@ -85,6 +78,100 @@ func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options) 
 		k++
 	}
 	frontierPool.Put(f)
+}
+
+// topDownLevel claims, at distance k, every unvisited out-neighbour of
+// the frontier, in the oracle's discovery order.
+func topDownLevel(csr *egraph.CSR, f *ds.Frontier, dist, parent []int32, k int32, useOut, forward, consecutive bool) {
+	n := int32(csr.N)
+	for _, id := range f.Cur {
+		// Static arcs within this stamp.
+		var arcs []int32
+		if useOut {
+			arcs = csr.OutAdj[csr.OutPtr[id]:csr.OutPtr[id+1]]
+		} else {
+			arcs = csr.InAdj[csr.InPtr[id]:csr.InPtr[id+1]]
+		}
+		for _, nb := range arcs {
+			if !f.Visited.TestAndSet(int(nb)) {
+				dist[nb] = k
+				if parent != nil {
+					parent[nb] = id
+				}
+				f.Push(nb)
+			}
+		}
+		// Causal arcs: the node's active-stamp row around this stamp.
+		stamps, v := csr.CausalArcs(id, forward, consecutive)
+		for i := range stamps {
+			s := stamps[i]
+			if forward {
+				s = stamps[len(stamps)-1-i] // oracle order: descending
+			}
+			nb := s*n + v
+			if !f.Visited.TestAndSet(int(nb)) {
+				dist[nb] = k
+				if parent != nil {
+					parent[nb] = id
+				}
+				f.Push(nb)
+			}
+		}
+	}
+}
+
+// bottomUpLevel claims, at distance k, every unvisited active id with a
+// predecessor at distance k−1 — exactly the ids topDownLevel would
+// claim, pushed in ascending id order. The candidates are the words of
+// Active &^ Visited, limited to the stamps the frontier can reach: ids
+// are stamp-major and arcs never go back in search time, so a forward
+// search skips every stamp before the frontier's lowest and a backward
+// one every stamp after its highest. Each candidate stops at its first
+// hit, checking static predecessors (the arc array opposite the one
+// top-down reads) before causal ones.
+func bottomUpLevel(csr *egraph.CSR, f *ds.Frontier, dist []int32, k int32, useOut, forward, consecutive bool) {
+	n := int32(csr.N)
+	lo, hi := f.Cur[0], f.Cur[0]
+	for _, id := range f.Cur[1:] {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	from, to := int(lo/n)*csr.N, csr.Size()
+	if !forward {
+		from, to = 0, int(hi/n+1)*csr.N
+	}
+	predPtr, predAdj := csr.InPtr, csr.InAdj
+	if !useOut {
+		predPtr, predAdj = csr.OutPtr, csr.OutAdj
+	}
+	act, vis := csr.Active.Words(), f.Visited.Words()
+	for wi := from / 64; wi < (to+63)/64; wi++ {
+		for w := act[wi] &^ vis[wi]; w != 0; w &= w - 1 {
+			id := int32(wi*64 + bits.TrailingZeros64(w))
+			if hasPredAt(csr, dist, id, k-1, predPtr, predAdj, forward, consecutive) {
+				dist[id] = k
+				f.Visited.Set(int(id))
+				f.Push(id)
+			}
+		}
+	}
+}
+
+// hasPredAt reports whether active id has a predecessor at distance d:
+// a static one through predPtr/predAdj, or a causal one of the same node.
+func hasPredAt(csr *egraph.CSR, dist []int32, id, d int32, predPtr []int64, predAdj []int32, forward, consecutive bool) bool {
+	for _, p := range predAdj[predPtr[id]:predPtr[id+1]] {
+		if dist[p] == d {
+			return true
+		}
+	}
+	stamps, v := csr.CausalArcs(id, !forward, consecutive)
+	n := int32(csr.N)
+	for _, s := range stamps {
+		if dist[s*n+v] == d {
+			return true
+		}
+	}
+	return false
 }
 
 // runParallelCSR is the level-synchronous parallel expansion over the

@@ -1,0 +1,102 @@
+package core
+
+// Fuzz harness for the BFS engines: the input bytes decode into a tiny
+// evolving graph, a root and a full option set, and the CSR engine must
+// equal the adjacency-map oracle on distances, level sizes and the
+// reached count — and on parents too when the search tracks them. A flag
+// forces every level bottom-up, so the direction-optimizing branch is
+// explored on graphs far too small for the production rule to pick it.
+//
+// Run with the race detector:
+//
+//	go test -race -run '^$' -fuzz '^FuzzBFSEngines$' -fuzztime 30s ./internal/core
+//
+// Plain `go test` replays the committed corpus (Figure 1, a per-stamp
+// clique, an undirected case) under testdata/fuzz.
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/egraph"
+)
+
+const (
+	fuzzNodes    = 12 // node ids drawn from [0, 12)
+	fuzzLabels   = 5  // time labels 1..5
+	fuzzMaxEdges = 64
+)
+
+// Flag bits of the first input byte.
+const (
+	fuzzDirected = 1 << iota
+	fuzzConsecutive
+	fuzzBackward
+	fuzzReverseEdges
+	fuzzTrackParents
+	fuzzBottomUp
+)
+
+// decodeBFSCase turns fuzz bytes into a search: byte 0 holds the flags
+// above, byte 1 the depth bound (mod 4, 0 = unbounded), byte 2 picks
+// the root among the active temporal nodes, and every following 3-byte
+// group is an edge (u, v, label). ok is false when the graph has no
+// active temporal node to start from.
+func decodeBFSCase(data []byte) (g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options, rule levelRule, ok bool) {
+	if len(data) < 3 {
+		return nil, root, opts, nil, false
+	}
+	flags, depth, pick := data[0], data[1], data[2]
+	b := egraph.NewBuilder(flags&fuzzDirected != 0)
+	for e, n := data[3:], 0; len(e) >= 3 && n < fuzzMaxEdges; e, n = e[3:], n+1 {
+		b.AddEdge(int32(e[0]%fuzzNodes), int32(e[1]%fuzzNodes), int64(1+e[2]%fuzzLabels))
+	}
+	g = b.Build()
+	active := g.ActiveTemporalNodes()
+	if len(active) == 0 {
+		return nil, root, opts, nil, false
+	}
+	root = active[int(pick)%len(active)]
+	opts = Options{
+		ReverseEdges: flags&fuzzReverseEdges != 0,
+		MaxDepth:     int(depth % 4),
+		TrackParents: flags&fuzzTrackParents != 0,
+	}
+	if flags&fuzzConsecutive != 0 {
+		opts.Mode = egraph.CausalConsecutive
+	}
+	if flags&fuzzBackward != 0 {
+		opts.Direction = Backward
+	}
+	rule = frontierOutnumbers
+	if flags&fuzzBottomUp != 0 {
+		rule = alwaysBottomUp
+	}
+	return g, root, opts, rule, true
+}
+
+func FuzzBFSEngines(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, root, opts, rule, ok := decodeBFSCase(data)
+		if !ok {
+			return
+		}
+		oracle := opts
+		oracle.UseAdjacencyMaps = true
+		want, err := BFS(g, root, oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := search(g, []egraph.TemporalNode{root}, opts, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("root %v %+v", root, opts)
+		if opts.TrackParents {
+			assertIdentical(t, label, got, want)
+		} else {
+			assertSameDistances(t, label, got, want)
+			assertSameLevels(t, label, got, want)
+		}
+	})
+}

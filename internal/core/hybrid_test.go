@@ -1,80 +1,118 @@
 package core
 
+// Tests of the CSR engine's direction-optimizing (hybrid top-down /
+// bottom-up) levels. The production rule goes bottom-up only once the
+// frontier outnumbers the unvisited temporal nodes, which small graphs
+// rarely reach; alwaysBottomUp forces every level of a search without
+// parents bottom-up, so the differential checks below run that branch
+// on every graph.
+
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/egraph"
+	"repro/internal/gen"
 )
+
+func alwaysBottomUp(frontier, unvisited int) bool { return true }
+
+// assertSameLevels compares level sizes, which distances alone do not
+// pin for a search cut short by MaxDepth.
+func assertSameLevels(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if !slices.Equal(got.levels, want.levels) {
+		t.Fatalf("%s: levels %v, want %v", label, got.levels, want.levels)
+	}
+}
 
 func TestHybridBFSFigure1(t *testing.T) {
 	g := egraph.Figure1Graph()
-	res, err := HybridBFS(g, tn(0, 0), HybridOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumReached() != 6 || res.Dist(tn(2, 2)) != 3 {
-		t.Fatalf("hybrid BFS wrong: reached=%d dist=%d", res.NumReached(), res.Dist(tn(2, 2)))
+	for _, rule := range []levelRule{frontierOutnumbers, alwaysBottomUp} {
+		res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{}, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumReached() != 6 || res.Dist(tn(2, 2)) != 3 {
+			t.Fatalf("reached=%d dist=%d, want 6 and 3", res.NumReached(), res.Dist(tn(2, 2)))
+		}
+		// Even the production rule fires here: the last level's frontier
+		// {(3,t2), (2,t3)} outnumbers the one unvisited node (3,t3).
+		if res.bottomUp == 0 {
+			t.Fatal("no level ran bottom-up")
+		}
 	}
 }
 
 func TestHybridBFSInactiveRoot(t *testing.T) {
 	g := egraph.Figure1Graph()
-	if _, err := HybridBFS(g, tn(2, 0), HybridOptions{}); err == nil {
-		t.Fatal("inactive root should fail")
+	if _, err := search(g, []egraph.TemporalNode{tn(2, 0)}, Options{}, alwaysBottomUp); !errors.Is(err, ErrInactiveRoot) {
+		t.Fatalf("err = %v, want ErrInactiveRoot", err)
 	}
 }
 
-// Force the bottom-up path with aggressive switching and verify the
-// distance labelling still matches plain BFS, all modes and directions.
-func TestHybridBFSMatchesSequential(t *testing.T) {
-	f := func(seed int64, directed, consecutive, backward bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, directed)
-		mode := egraph.CausalAllPairs
-		if consecutive {
-			mode = egraph.CausalConsecutive
-		}
-		opts := Options{Mode: mode}
-		if backward {
-			opts.Direction = Backward
-		}
-		u := g.Unfold(mode)
-		for _, root := range u.Order {
-			ref, err := BFS(g, root, opts)
-			if err != nil {
-				return false
-			}
-			// Alpha/Beta = 1 forces bottom-up almost immediately.
-			hyb, err := HybridBFS(g, root, HybridOptions{Options: opts, Alpha: 1, Beta: 1})
-			if err != nil {
-				return false
-			}
-			if hyb.NumReached() != ref.NumReached() || hyb.MaxDist() != ref.MaxDist() {
-				return false
-			}
-			ok := true
-			ref.Visit(func(n egraph.TemporalNode, d int) bool {
-				if hyb.Dist(n) != d {
-					ok = false
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+func TestHybridBFSMaxDepth(t *testing.T) {
+	g := egraph.Figure1Graph()
+	res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{MaxDepth: 1}, alwaysBottomUp)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if res.NumReached() != 3 || res.bottomUp != 1 {
+		t.Fatalf("NumReached = %d after %d bottom-up levels, want 3 after 1", res.NumReached(), res.bottomUp)
+	}
 }
 
-// Default switching thresholds on a dense low-diameter graph: result must
-// match, regardless of which steps ran bottom-up.
+// Every level bottom-up must reproduce the oracle's distances and level
+// sizes across the option matrix, bounded depths, single and multiple
+// roots, and roots early, midway and late in time.
+func TestHybridBFSMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var graphs []*egraph.IntEvolvingGraph
+	for trial := 0; trial < 40; trial++ {
+		graphs = append(graphs, randomGraph(rng, trial%2 == 0))
+	}
+	graphs = append(graphs,
+		gen.Random(gen.RandomConfig{Nodes: 300, Stamps: 6, Edges: 2500, Directed: true, Seed: 1}),
+		gen.Random(gen.RandomConfig{Nodes: 300, Stamps: 6, Edges: 2500, Directed: false, Seed: 2}))
+	for gi, g := range graphs {
+		last := g.NumStamps() - 1
+		var roots []egraph.TemporalNode
+		for _, s := range []int{0, last / 2, last} {
+			roots = append(roots, tn(int32(g.ActiveNodes(s).NextSet(0)), int32(s)))
+		}
+		rootSets := [][]egraph.TemporalNode{roots[:1], roots[1:2], roots[2:], roots}
+		for _, base := range optionMatrix(false) {
+			for depth := 0; depth <= 2; depth++ {
+				opts := base
+				opts.MaxDepth = depth
+				oracle := opts
+				oracle.UseAdjacencyMaps = true
+				for _, rs := range rootSets {
+					want, err := search(g, rs, oracle, frontierOutnumbers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := search(g, rs, opts, alwaysBottomUp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("graph %d roots %v %+v", gi, rs, opts)
+					assertSameDistances(t, label, got, want)
+					assertSameLevels(t, label, got, want)
+					if got.bottomUp == 0 {
+						t.Fatalf("%s: no level ran bottom-up", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The production rule on a dense, low-diameter graph: results match the
+// oracle whichever levels ran bottom-up.
 func TestHybridBFSDenseGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	b := egraph.NewBuilder(true)
@@ -84,53 +122,74 @@ func TestHybridBFSDenseGraph(t *testing.T) {
 	}
 	g := b.Build()
 	root := tn(int32(g.ActiveNodes(0).NextSet(0)), 0)
-	ref, err := BFS(g, root, Options{})
+	want, err := BFS(g, root, Options{UseAdjacencyMaps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := HybridBFS(g, root, HybridOptions{})
+	got, err := BFS(g, root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hyb.NumReached() != ref.NumReached() {
-		t.Fatalf("hybrid reached %d, want %d", hyb.NumReached(), ref.NumReached())
-	}
-	ref.Visit(func(n egraph.TemporalNode, d int) bool {
-		if hyb.Dist(n) != d {
-			t.Fatalf("dist(%v) = %d, want %d", n, hyb.Dist(n), d)
-		}
-		return true
-	})
+	assertSameDistances(t, "dense", got, want)
+	assertSameLevels(t, "dense", got, want)
 }
 
-// Parent tracking in bottom-up mode still yields valid shortest paths.
+// Parent-tracking searches stay top-down whatever the rule says, so
+// their parents remain bit-identical to the oracle's.
 func TestHybridBFSParents(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	g := randomGraph(rng, true)
-	u := g.Unfold(egraph.CausalAllPairs)
-	root := u.Order[0]
-	hyb, err := HybridBFS(g, root, HybridOptions{
-		Options: Options{TrackParents: true}, Alpha: 1, Beta: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb.Visit(func(n egraph.TemporalNode, d int) bool {
-		p := TemporalPath(hyb.PathTo(n))
-		if p.Hops() != d || !p.IsValid(g, egraph.CausalAllPairs) {
-			t.Fatalf("hybrid parent path to %v invalid: %v (dist %d)", n, p, d)
+	for trial := 0; trial < 20; trial++ {
+		g := randomGraph(rng, trial%2 == 0)
+		root := firstActive(g)
+		for _, opts := range optionMatrix(true) {
+			oracle := opts
+			oracle.UseAdjacencyMaps = true
+			want, err := BFS(g, root, oracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := search(g, []egraph.TemporalNode{root}, opts, alwaysBottomUp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("trial %d %+v", trial, opts)
+			assertIdentical(t, label, got, want)
+			if got.bottomUp != 0 {
+				t.Fatalf("%s: %d parent-tracking levels ran bottom-up", label, got.bottomUp)
+			}
 		}
-		return true
-	})
+	}
 }
 
-func TestHybridBFSMaxDepth(t *testing.T) {
-	g := egraph.Figure1Graph()
-	res, err := HybridBFS(g, tn(0, 0), HybridOptions{Options: Options{MaxDepth: 1}})
-	if err != nil {
-		t.Fatal(err)
+// The production rule fires where the frontier swamps what is left — in
+// every search from the first stamp of a dense graph — and never on the
+// sparse graph the hot-read workload serves (500 nodes × 8 stamps ×
+// 5000 edges), from any root in either causal mode.
+func TestBottomUpLevelCount(t *testing.T) {
+	dense := gen.Random(gen.RandomConfig{Nodes: 300, Stamps: 6, Edges: 20000, Directed: true, Seed: 1})
+	act := dense.ActiveNodes(0)
+	for v := act.NextSet(0); v >= 0; v = act.NextSet(v + 1) {
+		res, err := BFS(dense, tn(int32(v), 0), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.bottomUp == 0 {
+			t.Fatalf("dense graph, root (%d,0): levels %v, none bottom-up", v, res.levels)
+		}
 	}
-	if res.NumReached() != 3 {
-		t.Fatalf("NumReached = %d, want 3", res.NumReached())
+
+	for _, seed := range []int64{1, 2} {
+		sparse := gen.Random(gen.RandomConfig{Nodes: 500, Stamps: 8, Edges: 5000, Directed: true, Seed: seed})
+		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+			for _, root := range sparse.ActiveTemporalNodes() {
+				res, err := BFS(sparse, root, Options{Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.bottomUp != 0 {
+					t.Fatalf("sparse graph seed %d, %v from %v: %d bottom-up levels", seed, mode, root, res.bottomUp)
+				}
+			}
+		}
 	}
 }
