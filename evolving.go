@@ -173,6 +173,7 @@ func Reachable(g *Graph, from, to TemporalNode, mode CausalMode) (bool, error) {
 }
 
 // ShortestPath returns one shortest temporal path, or nil if unreachable.
+// An endpoint outside g is an error.
 func ShortestPath(g *Graph, from, to TemporalNode, mode CausalMode) (TemporalPath, error) {
 	return core.ShortestPath(g, from, to, mode)
 }

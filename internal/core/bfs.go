@@ -88,7 +88,8 @@ type Result struct {
 	reached int     // number of reached temporal nodes (including root)
 	levels  []int   // levels[k] = number of nodes at distance k
 
-	bottomUp int // levels the CSR engine expanded bottom-up
+	bottomUp      int // levels the CSR engine expanded bottom-up
+	causalScanned int // causal arcs the CSR engine's top-down levels examined
 }
 
 // Root returns the search root.
@@ -147,6 +148,21 @@ func (r *Result) Visit(fn func(tn egraph.TemporalNode, dist int) bool) {
 	}
 }
 
+// DistinctNodes returns the number of distinct nodes v with some (v, t)
+// reached: the search's reach in the static node set.
+func (r *Result) DistinctNodes() int {
+	n := r.g.NumNodes()
+	seen := ds.NewBitSet(n)
+	for t := 0; t < r.g.NumStamps(); t++ {
+		for v, d := range r.dist[t*n : (t+1)*n] {
+			if d >= 0 {
+				seen.Set(v)
+			}
+		}
+	}
+	return seen.Count()
+}
+
 // ReachedNodes returns all reached temporal nodes (root included) in
 // unspecified order.
 func (r *Result) ReachedNodes() []egraph.TemporalNode {
@@ -190,12 +206,14 @@ func (r *Result) PathTo(tn egraph.TemporalNode) []egraph.TemporalNode {
 // per-stamp adjacency directly instead. Distances, parents and level
 // sizes are identical either way.
 func BFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) (*Result, error) {
-	return search(g, []egraph.TemporalNode{root}, opts, frontierOutnumbers)
+	return search(g, []egraph.TemporalNode{root}, opts, frontierOutnumbers, noStop)
 }
 
 // search runs one BFS from a non-empty root set, with rule choosing the
-// direction of each CSR-engine level.
-func search(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Options, rule levelRule) (*Result, error) {
+// direction of each CSR-engine level. Unless stop is noStop, the CSR
+// engine ends the search with the level that reaches temporal-node id
+// stop; the map engine ignores it.
+func search(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Options, rule levelRule, stop int32) (*Result, error) {
 	for _, root := range roots {
 		if err := checkRoot(g, root); err != nil {
 			return nil, err
@@ -216,7 +234,7 @@ func search(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Option
 	if opts.UseAdjacencyMaps {
 		runReference(g, r, seeds, opts)
 	} else {
-		runCSR(g, r, seeds, opts, rule)
+		runCSR(g, r, seeds, opts, rule, stop)
 	}
 	return r, nil
 }
@@ -257,8 +275,7 @@ func runReference(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Opt
 }
 
 func checkRoot(g *egraph.IntEvolvingGraph, root egraph.TemporalNode) error {
-	if root.Node < 0 || int(root.Node) >= g.NumNodes() ||
-		root.Stamp < 0 || int(root.Stamp) >= g.NumStamps() {
+	if !inGraph(g, root) {
 		return fmt.Errorf("core: root %v outside graph with %d nodes, %d stamps",
 			root, g.NumNodes(), g.NumStamps())
 	}
@@ -266,6 +283,12 @@ func checkRoot(g *egraph.IntEvolvingGraph, root egraph.TemporalNode) error {
 		return ErrInactiveRoot
 	}
 	return nil
+}
+
+// inGraph reports whether tn names a temporal node of g, active or not.
+func inGraph(g *egraph.IntEvolvingGraph, tn egraph.TemporalNode) bool {
+	return tn.Node >= 0 && int(tn.Node) < g.NumNodes() &&
+		tn.Stamp >= 0 && int(tn.Stamp) < g.NumStamps()
 }
 
 func newResult(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) *Result {
@@ -378,7 +401,7 @@ func MultiSourceBFS(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opt
 	if len(roots) == 0 {
 		return nil, errors.New("core: MultiSourceBFS needs at least one root")
 	}
-	return search(g, roots, opts, frontierOutnumbers)
+	return search(g, roots, opts, frontierOutnumbers, noStop)
 }
 
 // Reachable reports whether (w, s) is reachable from (v, t) (Def. 7),

@@ -7,9 +7,14 @@ import (
 // BidirectionalShortestPath finds the Def. 6 distance between two
 // temporal nodes by growing a forward BFS from `from` and a backward
 // (time-reversed) BFS from `to` simultaneously, always expanding the
-// smaller frontier. Point-to-point queries on high-reach evolving
-// graphs touch far fewer temporal nodes this way than a full forward
-// search: each side only explores to roughly half the distance.
+// smaller frontier. Each side only explores to roughly half the
+// distance, so it touches fewer temporal nodes than a forward search
+// to the target's level — but it runs on the adjacency maps, while
+// ShortestPath runs that forward search on the CSR engine and stops at
+// the target's level. On the search-cold graph (gen.Random
+// 2000×16×60000, targets 1–5 random hops away, 2-core container)
+// ShortestPath is the faster of the two: ~85–125 µs against ~130–165 µs
+// per query.
 //
 // Returns the shortest path and true, or nil and false when `to` is
 // unreachable from `from`. Inactive endpoints are unreachable by

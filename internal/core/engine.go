@@ -17,11 +17,15 @@ import (
 // visited bitset are recycled through a pool, so steady-state searches
 // allocate only the Result.
 //
-// Neighbour visit order deliberately mirrors the adjacency-map oracle
-// (static arcs ascending, then causal stamps descending for forward
-// searches / ascending for backward): with identical discovery order
-// the two engines produce bit-identical distance, parent and level
-// arrays, which is what the differential tests assert.
+// Parent-tracking and consecutive-mode searches visit neighbours in the
+// adjacency-map oracle's order (static arcs ascending, then causal
+// stamps descending for forward searches / ascending for backward):
+// with identical discovery order the two engines produce bit-identical
+// distance, parent and level arrays, which is what the differential
+// tests assert. An all-pairs search without parents scans causal stamps
+// nearest first instead and stops at the first one already settled
+// (topDownLevel); it claims the same nodes at the same distances, so
+// only the order within a frontier differs.
 //
 // Each level runs top-down or bottom-up (direction-optimizing BFS,
 // Beamer, Asanović & Patterson, SC'12). A bottom-up level claims the
@@ -44,10 +48,14 @@ type levelRule func(frontier, unvisited int) bool
 // most one first-hit scan per unvisited node.
 func frontierOutnumbers(frontier, unvisited int) bool { return frontier > unvisited }
 
-// runCSR expands the seeded frontier to exhaustion over g.CSR(),
-// choosing each level's direction with rule. Seeds must already be
-// recorded in r (dist 0, reached, level 0).
-func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, rule levelRule) {
+// noStop is the stop id of a search that runs to exhaustion.
+const noStop = -1
+
+// runCSR expands the seeded frontier over g.CSR(), choosing each level's
+// direction with rule, until the frontier empties or — when stop is not
+// noStop — the level that reaches temporal-node id stop ends. Seeds must
+// already be recorded in r (dist 0, reached, level 0).
+func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, rule levelRule, stop int32) {
 	csr := g.CSR()
 	f := frontierPool.Get().(*ds.Frontier)
 	f.Reset(csr.Size())
@@ -64,11 +72,14 @@ func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, 
 		if opts.MaxDepth > 0 && int(k) > opts.MaxDepth {
 			break
 		}
+		if stop != noStop && dist[stop] >= 0 {
+			break // the previous level (or the seeding) reached stop
+		}
 		if parent == nil && rule(len(f.Cur), active-r.reached) {
 			bottomUpLevel(csr, f, dist, k, useOut, forward, consecutive)
 			r.bottomUp++
 		} else {
-			topDownLevel(csr, f, dist, parent, k, useOut, forward, consecutive)
+			r.causalScanned += topDownLevel(csr, f, dist, parent, k, useOut, forward, consecutive)
 		}
 		if len(f.Next) > 0 {
 			r.levels = append(r.levels, len(f.Next))
@@ -81,9 +92,23 @@ func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, 
 }
 
 // topDownLevel claims, at distance k, every unvisited out-neighbour of
-// the frontier, in the oracle's discovery order.
-func topDownLevel(csr *egraph.CSR, f *ds.Frontier, dist, parent []int32, k int32, useOut, forward, consecutive bool) {
+// the frontier and returns the number of causal arcs it examined.
+//
+// Parent-tracking and consecutive-mode searches scan every causal arc in
+// the oracle's discovery order. An all-pairs search without parents
+// scans a node's causal stamps nearest first and stops at the first one
+// already visited at a distance below k: that stamp is expanded, or is
+// still in this frontier, so it has claimed or will claim every stamp
+// beyond it at distance ≤ k. A stamp visited at exactly k was claimed
+// by a static arc in this level and is skipped. The cutoff leaves dist,
+// level sizes and Visit order unchanged; only the order of f.Next
+// differs, which matters only for parents.
+func topDownLevel(csr *egraph.CSR, f *ds.Frontier, dist, parent []int32, k int32, useOut, forward, consecutive bool) (scanned int) {
 	n := int32(csr.N)
+	cutoff := parent == nil && !consecutive
+	// The oracle scans causal stamps descending forward and ascending
+	// backward, i.e. farthest first; the cutoff needs nearest first.
+	descending := forward != cutoff
 	for _, id := range f.Cur {
 		// Static arcs within this stamp.
 		var arcs []int32
@@ -105,19 +130,23 @@ func topDownLevel(csr *egraph.CSR, f *ds.Frontier, dist, parent []int32, k int32
 		stamps, v := csr.CausalArcs(id, forward, consecutive)
 		for i := range stamps {
 			s := stamps[i]
-			if forward {
-				s = stamps[len(stamps)-1-i] // oracle order: descending
+			if descending {
+				s = stamps[len(stamps)-1-i]
 			}
 			nb := s*n + v
+			scanned++
 			if !f.Visited.TestAndSet(int(nb)) {
 				dist[nb] = k
 				if parent != nil {
 					parent[nb] = id
 				}
 				f.Push(nb)
+			} else if cutoff && dist[nb] < k {
+				break
 			}
 		}
 	}
+	return scanned
 }
 
 // bottomUpLevel claims, at distance k, every unvisited active id with a
@@ -240,6 +269,9 @@ func runParallelCSR(g *egraph.IntEvolvingGraph, r *Result, rootID int, opts Para
 						claim(nb, id)
 					}
 					stamps, v := csr.CausalArcs(id, forward, consecutive)
+					// No causal cutoff here: another worker may be
+					// writing dist[nb] after its claim, so reading it
+					// would race.
 					for _, s := range stamps {
 						claim(s*n+v, id)
 					}

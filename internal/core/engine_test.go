@@ -34,9 +34,9 @@ func firstActive(g *egraph.IntEvolvingGraph) egraph.TemporalNode {
 	panic("no active temporal node")
 }
 
-// assertIdentical compares every observable of two results. The CSR
-// engine mirrors the oracle's visit order, so even parents and level
-// sizes must be bit-identical.
+// assertIdentical compares every observable of two results. A
+// parent-tracking CSR search mirrors the oracle's visit order, so even
+// parents and level sizes must be bit-identical.
 func assertIdentical(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if got.reached != want.reached {
@@ -234,6 +234,83 @@ func TestParallelCSRParentsValid(t *testing.T) {
 		}
 		if res.dist[p] != d-1 {
 			t.Fatalf("parent of %d at dist %d has dist %d", id, d, res.dist[p])
+		}
+	}
+}
+
+func neverBottomUp(frontier, unvisited int) bool { return false }
+
+// The causal cutoff leaves distances unchanged, so only the work counter
+// shows it: on the search-cold graph an all-pairs search without parents
+// examines at most half the causal arcs that the full-scan
+// parent-tracking search of the same root does. Consecutive mode has
+// one causal arc per node and no cutoff, so there the counts are equal.
+// Both searches stay top-down, where causal arcs are counted.
+func TestCausalCutoffWork(t *testing.T) {
+	g := gen.Random(gen.RandomConfig{Nodes: 2000, Stamps: 16, Edges: 60000, Directed: true, Seed: 1})
+	active := g.ActiveTemporalNodes()
+	for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+		for _, dir := range []Direction{Forward, Backward} {
+			var cut, full int
+			for i := 0; i < len(active); i += len(active) / 12 {
+				root := active[i]
+				opts := Options{Mode: mode, Direction: dir}
+				got, err := search(g, []egraph.TemporalNode{root}, opts, neverBottomUp, noStop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.TrackParents = true
+				want, err := BFS(g, root, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%v %v root %v", mode, dir, root)
+				assertSameDistances(t, label, got, want)
+				assertSameLevels(t, label, got, want)
+				cut += got.causalScanned
+				full += want.causalScanned
+			}
+			t.Logf("%v %v: %d causal arcs with the cutoff, %d without (%.2f)", mode, dir, cut, full, float64(cut)/float64(full))
+			if full == 0 {
+				t.Fatalf("%v %v: no causal arc examined", mode, dir)
+			}
+			if mode == egraph.CausalConsecutive && cut != full {
+				t.Fatalf("%v %v: %d causal arcs examined, want the full scan's %d", mode, dir, cut, full)
+			}
+			if mode == egraph.CausalAllPairs && 2*cut > full {
+				t.Fatalf("%v %v: %d causal arcs examined, want at most half of the full scan's %d", mode, dir, cut, full)
+			}
+		}
+	}
+}
+
+// DistinctNodes counts the nodes of the temporal nodes Visit reports.
+func TestDistinctNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	graphs := []*egraph.IntEvolvingGraph{
+		gen.Random(gen.RandomConfig{Nodes: 300, Stamps: 6, Edges: 2500, Directed: true, Seed: 1}),
+		gen.Random(gen.RandomConfig{Nodes: 300, Stamps: 6, Edges: 800, Directed: false, Seed: 2}),
+	}
+	for trial := 0; trial < 20; trial++ {
+		graphs = append(graphs, randomGraph(rng, trial%2 == 0))
+	}
+	for gi, g := range graphs {
+		active := g.ActiveTemporalNodes()
+		for _, root := range []egraph.TemporalNode{active[0], active[len(active)/2], active[len(active)-1]} {
+			for _, base := range optionMatrix(false) {
+				res, err := BFS(g, root, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes := map[int32]bool{}
+				res.Visit(func(tn egraph.TemporalNode, _ int) bool {
+					nodes[tn.Node] = true
+					return true
+				})
+				if got := res.DistinctNodes(); got != len(nodes) {
+					t.Fatalf("graph %d root %v %+v: DistinctNodes = %d, Visit saw %d", gi, root, base, got, len(nodes))
+				}
+			}
 		}
 	}
 }

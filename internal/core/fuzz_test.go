@@ -6,16 +6,22 @@ package core
 // reached count — and on parents too when the search tracks them. A flag
 // forces every level bottom-up, so the direction-optimizing branch is
 // explored on graphs far too small for the production rule to pick it.
+// A forward, unbounded, parent-tracking case on unreversed edges also
+// checks that ShortestPath, which stops at its target's level, returns
+// the oracle's path to every active temporal node.
 //
 // Run with the race detector:
 //
 //	go test -race -run '^$' -fuzz '^FuzzBFSEngines$' -fuzztime 30s ./internal/core
 //
 // Plain `go test` replays the committed corpus (Figure 1, a per-stamp
-// clique, an undirected case) under testdata/fuzz.
+// clique, an undirected case, and a node active at every label whose
+// middle stamps are claimed by static arcs in the level its first stamp
+// expands — the causal cutoff's skip case) under testdata/fuzz.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/egraph"
@@ -87,16 +93,28 @@ func FuzzBFSEngines(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := search(g, []egraph.TemporalNode{root}, opts, rule)
+		got, err := search(g, []egraph.TemporalNode{root}, opts, rule, noStop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("root %v %+v", root, opts)
-		if opts.TrackParents {
-			assertIdentical(t, label, got, want)
-		} else {
+		if !opts.TrackParents {
 			assertSameDistances(t, label, got, want)
 			assertSameLevels(t, label, got, want)
+			return
+		}
+		assertIdentical(t, label, got, want)
+		if opts.Direction != Forward || opts.ReverseEdges || opts.MaxDepth != 0 || data[0]&fuzzBottomUp != 0 {
+			return
+		}
+		for _, to := range g.ActiveTemporalNodes() {
+			path, err := ShortestPath(g, root, to, opts.Mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if oracle := want.PathTo(to); !slices.Equal(path, oracle) {
+				t.Fatalf("%s: ShortestPath to %v = %v, oracle %v", label, to, path, TemporalPath(oracle))
+			}
 		}
 	})
 }

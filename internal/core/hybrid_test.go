@@ -32,7 +32,7 @@ func assertSameLevels(t *testing.T, label string, got, want *Result) {
 func TestHybridBFSFigure1(t *testing.T) {
 	g := egraph.Figure1Graph()
 	for _, rule := range []levelRule{frontierOutnumbers, alwaysBottomUp} {
-		res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{}, rule)
+		res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{}, rule, noStop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,14 +49,14 @@ func TestHybridBFSFigure1(t *testing.T) {
 
 func TestHybridBFSInactiveRoot(t *testing.T) {
 	g := egraph.Figure1Graph()
-	if _, err := search(g, []egraph.TemporalNode{tn(2, 0)}, Options{}, alwaysBottomUp); !errors.Is(err, ErrInactiveRoot) {
+	if _, err := search(g, []egraph.TemporalNode{tn(2, 0)}, Options{}, alwaysBottomUp, noStop); !errors.Is(err, ErrInactiveRoot) {
 		t.Fatalf("err = %v, want ErrInactiveRoot", err)
 	}
 }
 
 func TestHybridBFSMaxDepth(t *testing.T) {
 	g := egraph.Figure1Graph()
-	res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{MaxDepth: 1}, alwaysBottomUp)
+	res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{MaxDepth: 1}, alwaysBottomUp, noStop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestHybridBFSMatchesSequential(t *testing.T) {
 				oracle := opts
 				oracle.UseAdjacencyMaps = true
 				for _, rs := range rootSets {
-					want, err := search(g, rs, oracle, frontierOutnumbers)
+					want, err := search(g, rs, oracle, frontierOutnumbers, noStop)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := search(g, rs, opts, alwaysBottomUp)
+					got, err := search(g, rs, opts, alwaysBottomUp, noStop)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,7 +148,7 @@ func TestHybridBFSParents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := search(g, []egraph.TemporalNode{root}, opts, alwaysBottomUp)
+			got, err := search(g, []egraph.TemporalNode{root}, opts, alwaysBottomUp, noStop)
 			if err != nil {
 				t.Fatal(err)
 			}

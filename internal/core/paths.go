@@ -41,11 +41,7 @@ func (p TemporalPath) String() string {
 // path from an inactive endpoint the empty sequence).
 func (p TemporalPath) IsValid(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) bool {
 	for _, tn := range p {
-		if tn.Node < 0 || int(tn.Node) >= g.NumNodes() ||
-			tn.Stamp < 0 || int(tn.Stamp) >= g.NumStamps() {
-			return false
-		}
-		if !g.IsActive(tn.Node, tn.Stamp) {
+		if !inGraph(g, tn) || !g.IsActive(tn.Node, tn.Stamp) {
 			return false
 		}
 	}
@@ -141,10 +137,25 @@ func CountWalks(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode,
 }
 
 // ShortestPath returns one shortest temporal path from `from` to `to`,
-// or nil if `to` is unreachable.
+// or nil if `to` is inactive or unreachable. Like BFS it fails for a
+// `from` that is inactive or outside g, and it fails for a `to` outside
+// g. The parent-tracking search stops with the level that reaches `to`;
+// its discovery order up to there is a full search's, so the path is
+// the one BFS(…).PathTo(to) would return.
 func ShortestPath(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode,
 	mode egraph.CausalMode) (TemporalPath, error) {
-	res, err := BFS(g, from, Options{Mode: mode, TrackParents: true})
+	if err := checkRoot(g, from); err != nil {
+		return nil, err
+	}
+	if !inGraph(g, to) {
+		return nil, fmt.Errorf("core: path target %v outside graph with %d nodes, %d stamps",
+			to, g.NumNodes(), g.NumStamps())
+	}
+	if !g.IsActive(to.Node, to.Stamp) {
+		return nil, nil // Def. 4: no temporal path ends at an inactive node
+	}
+	stop := int32(g.TemporalNodeID(to))
+	res, err := search(g, []egraph.TemporalNode{from}, Options{Mode: mode, TrackParents: true}, frontierOutnumbers, stop)
 	if err != nil {
 		return nil, err
 	}

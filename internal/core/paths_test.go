@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/egraph"
+	"repro/internal/gen"
 )
 
 // Figure 2: exactly two temporal paths of length 4 from (1,t1) to (3,t3),
@@ -278,5 +281,58 @@ func TestTemporalPathString(t *testing.T) {
 	}
 	if (TemporalPath{}).Hops() != 0 {
 		t.Fatal("empty path hops wrong")
+	}
+}
+
+// A target outside the graph is an error, not an alias: TemporalNodeID
+// is stamp·N + node, so (5,t2) on the 3-node Figure 1 graph would
+// otherwise name (2,t3). An in-range inactive target has no path.
+func TestShortestPathTargetChecks(t *testing.T) {
+	g := egraph.Figure1Graph()
+	for _, to := range []egraph.TemporalNode{tn(5, 1), tn(-1, 0), tn(0, 3), tn(0, -1)} {
+		if p, err := ShortestPath(g, tn(0, 0), to, egraph.CausalAllPairs); err == nil {
+			t.Fatalf("target %v outside the graph: path %v, no error", to, p)
+		}
+	}
+	p, err := ShortestPath(g, tn(0, 0), tn(2, 0), egraph.CausalAllPairs)
+	if err != nil || p != nil {
+		t.Fatalf("inactive target: path %v, err %v; want nil, nil", p, err)
+	}
+	if _, err := ShortestPath(g, tn(2, 0), tn(0, 0), egraph.CausalAllPairs); !errors.Is(err, ErrInactiveRoot) {
+		t.Fatalf("inactive source: err %v, want ErrInactiveRoot", err)
+	}
+	p, err = ShortestPath(g, tn(0, 0), tn(0, 0), egraph.CausalAllPairs)
+	if err != nil || len(p) != 1 || p[0] != tn(0, 0) {
+		t.Fatalf("path to the source itself: %v, %v", p, err)
+	}
+}
+
+// ShortestPath stops at its target's level but must return exactly the
+// path a full parent-tracking search reconstructs, for every target.
+func TestShortestPathMatchesFullSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	graphs := []*egraph.IntEvolvingGraph{
+		gen.Random(gen.RandomConfig{Nodes: 300, Stamps: 6, Edges: 2500, Directed: true, Seed: 1}),
+	}
+	for trial := 0; trial < 10; trial++ {
+		graphs = append(graphs, randomGraph(rng, trial%2 == 0))
+	}
+	for gi, g := range graphs {
+		root := firstActive(g)
+		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+			full, err := BFS(g, root, Options{Mode: mode, TrackParents: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, to := range g.ActiveTemporalNodes() {
+				got, err := ShortestPath(g, root, to, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := full.PathTo(to); !slices.Equal(got, want) {
+					t.Fatalf("graph %d %v %v→%v: path %v, full search %v", gi, mode, root, to, got, TemporalPath(want))
+				}
+			}
+		}
 	}
 }

@@ -89,8 +89,8 @@ func (c *CSR) CausalRow(v, t int32) (row []int32, pos int) {
 // after (forward) or strictly before (backward) its own stamp, clamped
 // to the single adjacent stamp under consecutive mode. Targets rebase
 // as stamp·N + v with the returned v. The slice is in ascending stamp
-// order and aliases internal storage; the traversal engines iterate it
-// descending for forward searches to keep the oracle's visit order.
+// order and aliases internal storage; parent-tracking searches iterate
+// it descending for forward searches to keep the oracle's visit order.
 // Every engine shares this one copy of the bounds arithmetic.
 func (c *CSR) CausalArcs(id int32, forward, consecutive bool) (stamps []int32, v int32) {
 	pos := c.ActPos[id]

@@ -99,6 +99,48 @@ func TestBFSBodyIsMarshalledResponse(t *testing.T) {
 	}
 }
 
+// TestReachBodyIsMarshalledResponse: the /reach body, whose distinct
+// count comes from Result.DistinctNodes, is json.Marshal of the
+// ReachResponse built from the adjacency-map oracle's Visit, plus the
+// newline.
+func TestReachBodyIsMarshalledResponse(t *testing.T) {
+	for _, g := range []*egraph.IntEvolvingGraph{
+		egraph.Figure1Graph(),
+		gen.Random(gen.RandomConfig{Nodes: 80, Stamps: 6, Edges: 400, Directed: true, Seed: 3}),
+		gen.Random(gen.RandomConfig{Nodes: 80, Stamps: 6, Edges: 150, Directed: false, Seed: 4}),
+	} {
+		h := Handler(g)
+		for _, root := range g.ActiveTemporalNodes() {
+			for mName, mode := range map[string]egraph.CausalMode{"allpairs": egraph.CausalAllPairs, "consecutive": egraph.CausalConsecutive} {
+				url := fmt.Sprintf("/reach?node=%d&stamp=%d&mode=%s", root.Node, root.Stamp, mName)
+				res, err := core.BFS(g, root, core.Options{Mode: mode, UseAdjacencyMaps: true})
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", url, err)
+				}
+				nodes := map[int32]bool{}
+				res.Visit(func(tn egraph.TemporalNode, _ int) bool {
+					nodes[tn.Node] = true
+					return true
+				})
+				want, err := json.Marshal(ReachResponse{
+					Root:          TemporalNodeJSON{Node: root.Node, Stamp: root.Stamp, Label: g.TimeLabel(int(root.Stamp))},
+					TemporalNodes: res.NumReached(),
+					DistinctNodes: len(nodes),
+					MaxDist:       res.MaxDist(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, '\n')
+				status, got := serve(h, url)
+				if status != http.StatusOK || !bytes.Equal(got, want) {
+					t.Fatalf("%s: status %d body %s, want %s", url, status, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestResponsesAreCompact: every endpoint answers compact JSON and one
 // newline — answers and the error envelope alike.
 func TestResponsesAreCompact(t *testing.T) {

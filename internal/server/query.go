@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/ds"
 	"repro/internal/egraph"
 	"repro/internal/temporal"
 )
@@ -193,15 +192,10 @@ func (s *Server) reach(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), err.Error())
 		return
 	}
-	distinct := ds.NewBitSet(p.g.NumNodes())
-	res.Visit(func(tn egraph.TemporalNode, _ int) bool {
-		distinct.Set(int(tn.Node))
-		return true
-	})
 	s.writeJSON(w, http.StatusOK, ReachResponse{
 		Root:          tnJSON(p.g, root),
 		TemporalNodes: res.NumReached(),
-		DistinctNodes: distinct.Count(),
+		DistinctNodes: res.DistinctNodes(),
 		MaxDist:       res.MaxDist(),
 	})
 }
