@@ -88,8 +88,8 @@ type Result struct {
 	reached int     // number of reached temporal nodes (including root)
 	levels  []int   // levels[k] = number of nodes at distance k
 
-	bottomUp      int // levels the CSR engine expanded bottom-up
-	causalScanned int // causal arcs the CSR engine's top-down levels examined
+	bitmapLevels int // levels the CSR engine expanded on bitmaps
+	work         int // static and causal arcs the CSR engine examined plus bitmap words it scanned
 }
 
 // Root returns the search root.
@@ -201,16 +201,18 @@ func (r *Result) PathTo(tn egraph.TemporalNode) []egraph.TemporalNode {
 // dictionary. The root must be an active temporal node of g.
 //
 // By default the search runs on the flat CSR/bitset engine (DESIGN.md
-// §8), which expands a level bottom-up once the frontier outnumbers the
-// unvisited temporal nodes; set Options.UseAdjacencyMaps to traverse the
-// per-stamp adjacency directly instead. Distances, parents and level
-// sizes are identical either way.
+// §8). A level whose frontier holds at least one temporal node per word
+// of the id space's stamp rows runs on bitmaps: causal arcs are claimed
+// a word at a time, and static arcs bottom-up by bit test once the
+// frontier outnumbers what is left to claim. Set
+// Options.UseAdjacencyMaps to traverse the per-stamp adjacency directly
+// instead. Distances, parents and level sizes are identical either way.
 func BFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) (*Result, error) {
-	return search(g, []egraph.TemporalNode{root}, opts, frontierOutnumbers, noStop)
+	return search(g, []egraph.TemporalNode{root}, opts, amortised, noStop)
 }
 
-// search runs one BFS from a non-empty root set, with rule choosing the
-// direction of each CSR-engine level. Unless stop is noStop, the CSR
+// search runs one BFS from a non-empty root set, with rule choosing how
+// each CSR-engine level runs. Unless stop is noStop, the CSR
 // engine ends the search with the level that reaches temporal-node id
 // stop; the map engine ignores it.
 func search(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Options, rule levelRule, stop int32) (*Result, error) {
@@ -401,7 +403,7 @@ func MultiSourceBFS(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opt
 	if len(roots) == 0 {
 		return nil, errors.New("core: MultiSourceBFS needs at least one root")
 	}
-	return search(g, roots, opts, frontierOutnumbers, noStop)
+	return search(g, roots, opts, amortised, noStop)
 }
 
 // Reachable reports whether (w, s) is reachable from (v, t) (Def. 7),

@@ -238,14 +238,33 @@ func TestParallelCSRParentsValid(t *testing.T) {
 	}
 }
 
-func neverBottomUp(frontier, unvisited int) bool { return false }
+// causalWork is the causal part of an unbounded list-level search's
+// work: its work less the static arcs out of every node it reached, each
+// of which it expanded.
+func causalWork(g *egraph.IntEvolvingGraph, res *Result, opts Options) int {
+	csr := g.CSR()
+	useOut := (opts.Direction == Forward) != opts.ReverseEdges
+	work := res.work
+	for id, d := range res.dist {
+		if d < 0 {
+			continue
+		}
+		if useOut {
+			work -= len(csr.OutArcs(int32(id)))
+		} else {
+			work -= len(csr.InArcs(int32(id)))
+		}
+	}
+	return work
+}
 
 // The causal cutoff leaves distances unchanged, so only the work counter
 // shows it: on the search-cold graph an all-pairs search without parents
 // examines at most half the causal arcs that the full-scan
 // parent-tracking search of the same root does. Consecutive mode has
 // one causal arc per node and no cutoff, so there the counts are equal.
-// Both searches stay top-down, where causal arcs are counted.
+// Both searches stay on list levels, where causal arcs are counted one
+// by one.
 func TestCausalCutoffWork(t *testing.T) {
 	g := gen.Random(gen.RandomConfig{Nodes: 2000, Stamps: 16, Edges: 60000, Directed: true, Seed: 1})
 	active := g.ActiveTemporalNodes()
@@ -255,7 +274,7 @@ func TestCausalCutoffWork(t *testing.T) {
 			for i := 0; i < len(active); i += len(active) / 12 {
 				root := active[i]
 				opts := Options{Mode: mode, Direction: dir}
-				got, err := search(g, []egraph.TemporalNode{root}, opts, neverBottomUp, noStop)
+				got, err := search(g, []egraph.TemporalNode{root}, opts, neverBitmap, noStop)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,8 +286,8 @@ func TestCausalCutoffWork(t *testing.T) {
 				label := fmt.Sprintf("%v %v root %v", mode, dir, root)
 				assertSameDistances(t, label, got, want)
 				assertSameLevels(t, label, got, want)
-				cut += got.causalScanned
-				full += want.causalScanned
+				cut += causalWork(g, got, opts)
+				full += causalWork(g, want, opts)
 			}
 			t.Logf("%v %v: %d causal arcs with the cutoff, %d without (%.2f)", mode, dir, cut, full, float64(cut)/float64(full))
 			if full == 0 {
@@ -281,6 +300,27 @@ func TestCausalCutoffWork(t *testing.T) {
 				t.Fatalf("%v %v: %d causal arcs examined, want at most half of the full scan's %d", mode, dir, cut, full)
 			}
 		}
+	}
+}
+
+// A steady-state BFS on the search-cold graph allocates only its Result:
+// the struct, dist and the growing level sizes. Bitmap levels draw their
+// bitmaps and carry row from the pooled frontier.
+func TestBFSAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	g := gen.Random(gen.RandomConfig{Nodes: 2000, Stamps: 16, Edges: 60000, Directed: true, Seed: 1})
+	roots := stampZeroRoots(g, 8)
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := BFS(g, roots[i%len(roots)], Options{}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 8 {
+		t.Fatalf("BFS allocates %.1f times per search, want ≤ 8", allocs)
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
-// Tests of the CSR engine's direction-optimizing (hybrid top-down /
-// bottom-up) levels. The production rule goes bottom-up only once the
-// frontier outnumbers the unvisited temporal nodes, which small graphs
-// rarely reach; alwaysBottomUp forces every level of a search without
-// parents bottom-up, so the differential checks below run that branch
-// on every graph.
+// Tests of the CSR engine's level kinds. The production rule runs a
+// level on bitmaps only once its frontier holds as many temporal nodes
+// as the causal sweep reads words, and a bitmap level's static step
+// bottom-up only once the frontier outnumbers what it could claim; the
+// forced rules below run every level as one fixed kind, so the
+// differential checks cover each kind on every graph.
 
 import (
 	"errors"
@@ -18,7 +18,25 @@ import (
 	"repro/internal/gen"
 )
 
-func alwaysBottomUp(frontier, unvisited int) bool { return true }
+func always(frontier, bound int) bool { return true }
+func never(frontier, bound int) bool  { return false }
+
+var (
+	neverBitmap    = levelRule{bitmap: never, bottomUp: never}
+	bitmapBottomUp = levelRule{bitmap: always, bottomUp: always}
+	bitmapTopDown  = levelRule{bitmap: always, bottomUp: never}
+)
+
+// levelRules names every forced level kind and the production rule.
+var levelRules = []struct {
+	name string
+	rule levelRule
+}{
+	{"never-bitmap", neverBitmap},
+	{"bitmap-bottom-up", bitmapBottomUp},
+	{"bitmap-top-down", bitmapTopDown},
+	{"amortised", amortised},
+}
 
 // assertSameLevels compares level sizes, which distances alone do not
 // pin for a search cut short by MaxDepth.
@@ -31,41 +49,41 @@ func assertSameLevels(t *testing.T, label string, got, want *Result) {
 
 func TestHybridBFSFigure1(t *testing.T) {
 	g := egraph.Figure1Graph()
-	for _, rule := range []levelRule{frontierOutnumbers, alwaysBottomUp} {
-		res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{}, rule, noStop)
+	for _, lr := range levelRules {
+		res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{}, lr.rule, noStop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.NumReached() != 6 || res.Dist(tn(2, 2)) != 3 {
-			t.Fatalf("reached=%d dist=%d, want 6 and 3", res.NumReached(), res.Dist(tn(2, 2)))
+			t.Fatalf("%s: reached=%d dist=%d, want 6 and 3", lr.name, res.NumReached(), res.Dist(tn(2, 2)))
 		}
-		// Even the production rule fires here: the last level's frontier
-		// {(3,t2), (2,t3)} outnumbers the one unvisited node (3,t3).
-		if res.bottomUp == 0 {
-			t.Fatal("no level ran bottom-up")
+		// The production rule keeps Fig. 1 on list levels: its sweep reads
+		// one word in each of three stamps, and no frontier exceeds two.
+		if (res.bitmapLevels == 0) != (lr.name == "never-bitmap" || lr.name == "amortised") {
+			t.Fatalf("%s: %d bitmap levels", lr.name, res.bitmapLevels)
 		}
 	}
 }
 
 func TestHybridBFSInactiveRoot(t *testing.T) {
 	g := egraph.Figure1Graph()
-	if _, err := search(g, []egraph.TemporalNode{tn(2, 0)}, Options{}, alwaysBottomUp, noStop); !errors.Is(err, ErrInactiveRoot) {
+	if _, err := search(g, []egraph.TemporalNode{tn(2, 0)}, Options{}, bitmapBottomUp, noStop); !errors.Is(err, ErrInactiveRoot) {
 		t.Fatalf("err = %v, want ErrInactiveRoot", err)
 	}
 }
 
 func TestHybridBFSMaxDepth(t *testing.T) {
 	g := egraph.Figure1Graph()
-	res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{MaxDepth: 1}, alwaysBottomUp, noStop)
+	res, err := search(g, []egraph.TemporalNode{tn(0, 0)}, Options{MaxDepth: 1}, bitmapBottomUp, noStop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumReached() != 3 || res.bottomUp != 1 {
-		t.Fatalf("NumReached = %d after %d bottom-up levels, want 3 after 1", res.NumReached(), res.bottomUp)
+	if res.NumReached() != 3 || res.bitmapLevels != 1 {
+		t.Fatalf("NumReached = %d after %d bitmap levels, want 3 after 1", res.NumReached(), res.bitmapLevels)
 	}
 }
 
-// Every level bottom-up must reproduce the oracle's distances and level
+// Every level kind must reproduce the oracle's distances and level
 // sizes across the option matrix, bounded depths, single and multiple
 // roots, and roots early, midway and late in time.
 func TestHybridBFSMatchesSequential(t *testing.T) {
@@ -91,19 +109,30 @@ func TestHybridBFSMatchesSequential(t *testing.T) {
 				oracle := opts
 				oracle.UseAdjacencyMaps = true
 				for _, rs := range rootSets {
-					want, err := search(g, rs, oracle, frontierOutnumbers, noStop)
+					want, err := search(g, rs, oracle, amortised, noStop)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := search(g, rs, opts, alwaysBottomUp, noStop)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("graph %d roots %v %+v", gi, rs, opts)
-					assertSameDistances(t, label, got, want)
-					assertSameLevels(t, label, got, want)
-					if got.bottomUp == 0 {
-						t.Fatalf("%s: no level ran bottom-up", label)
+					for _, lr := range levelRules {
+						got, err := search(g, rs, opts, lr.rule, noStop)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("graph %d roots %v %+v %s", gi, rs, opts, lr.name)
+						assertSameDistances(t, label, got, want)
+						assertSameLevels(t, label, got, want)
+						// A forced kind runs every level, including a last one
+						// that claims nothing and so adds no level size.
+						switch lr.name {
+						case "never-bitmap":
+							if got.bitmapLevels != 0 {
+								t.Fatalf("%s: %d bitmap levels", label, got.bitmapLevels)
+							}
+						case "bitmap-bottom-up", "bitmap-top-down":
+							if got.bitmapLevels < len(got.levels)-1 {
+								t.Fatalf("%s: %d bitmap levels for levels %v", label, got.bitmapLevels, got.levels)
+							}
+						}
 					}
 				}
 			}
@@ -112,7 +141,7 @@ func TestHybridBFSMatchesSequential(t *testing.T) {
 }
 
 // The production rule on a dense, low-diameter graph: results match the
-// oracle whichever levels ran bottom-up.
+// oracle whichever levels ran on bitmaps.
 func TestHybridBFSDenseGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	b := egraph.NewBuilder(true)
@@ -134,8 +163,8 @@ func TestHybridBFSDenseGraph(t *testing.T) {
 	assertSameLevels(t, "dense", got, want)
 }
 
-// Parent-tracking searches stay top-down whatever the rule says, so
-// their parents remain bit-identical to the oracle's.
+// Parent-tracking searches stay on list levels whatever the rule says,
+// so their parents remain bit-identical to the oracle's.
 func TestHybridBFSParents(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
@@ -148,48 +177,104 @@ func TestHybridBFSParents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := search(g, []egraph.TemporalNode{root}, opts, alwaysBottomUp, noStop)
+			got, err := search(g, []egraph.TemporalNode{root}, opts, bitmapBottomUp, noStop)
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("trial %d %+v", trial, opts)
 			assertIdentical(t, label, got, want)
-			if got.bottomUp != 0 {
-				t.Fatalf("%s: %d parent-tracking levels ran bottom-up", label, got.bottomUp)
+			if got.bitmapLevels != 0 {
+				t.Fatalf("%s: %d parent-tracking levels ran on bitmaps", label, got.bitmapLevels)
 			}
 		}
 	}
 }
 
-// The production rule fires where the frontier swamps what is left — in
-// every search from the first stamp of a dense graph — and never on the
-// sparse graph the hot-read workload serves (500 nodes × 8 stamps ×
-// 5000 edges), from any root in either causal mode.
-func TestBottomUpLevelCount(t *testing.T) {
-	dense := gen.Random(gen.RandomConfig{Nodes: 300, Stamps: 6, Edges: 20000, Directed: true, Seed: 1})
-	act := dense.ActiveNodes(0)
+// chainGraph is a directed path 0 → 1 → … → n−1 in a single stamp: every
+// level of a search from its head has a frontier of one.
+func chainGraph(n int) *egraph.IntEvolvingGraph {
+	b := egraph.NewBuilder(true)
+	for v := 0; v+1 < n; v++ {
+		b.AddEdge(int32(v), int32(v+1), 1)
+	}
+	return b.Build()
+}
+
+// stampZeroRoots returns up to limit active temporal nodes of stamp 0,
+// spread over the node range.
+func stampZeroRoots(g *egraph.IntEvolvingGraph, limit int) []egraph.TemporalNode {
+	act := g.ActiveNodes(0)
+	var all []egraph.TemporalNode
 	for v := act.NextSet(0); v >= 0; v = act.NextSet(v + 1) {
-		res, err := BFS(dense, tn(int32(v), 0), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.bottomUp == 0 {
-			t.Fatalf("dense graph, root (%d,0): levels %v, none bottom-up", v, res.levels)
+		all = append(all, tn(int32(v), 0))
+	}
+	var roots []egraph.TemporalNode
+	for i := 0; i < len(all) && len(roots) < limit; i += max(1, len(all)/limit) {
+		roots = append(roots, all[i])
+	}
+	return roots
+}
+
+// The production rule runs bitmap levels where a frontier grows wide —
+// in every search from the first stamp of a dense graph and of the
+// search-cold graph (2000×16×60000) — and never on a chain, whose every
+// frontier is a single node.
+func TestBottomUpLevelCount(t *testing.T) {
+	for _, g := range []*egraph.IntEvolvingGraph{
+		gen.Random(gen.RandomConfig{Nodes: 300, Stamps: 6, Edges: 20000, Directed: true, Seed: 1}),
+		gen.Random(gen.RandomConfig{Nodes: 2000, Stamps: 16, Edges: 60000, Directed: true, Seed: 1}),
+	} {
+		for _, root := range stampZeroRoots(g, 40) {
+			res, err := BFS(g, root, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.bitmapLevels == 0 {
+				t.Fatalf("%d×%d graph, root %v: levels %v, none on bitmaps", g.NumNodes(), g.NumStamps(), root, res.levels)
+			}
 		}
 	}
 
-	for _, seed := range []int64{1, 2} {
-		sparse := gen.Random(gen.RandomConfig{Nodes: 500, Stamps: 8, Edges: 5000, Directed: true, Seed: seed})
-		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
-			for _, root := range sparse.ActiveTemporalNodes() {
-				res, err := BFS(sparse, root, Options{Mode: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.bottomUp != 0 {
-					t.Fatalf("sparse graph seed %d, %v from %v: %d bottom-up levels", seed, mode, root, res.bottomUp)
-				}
-			}
+	chain := chainGraph(2000)
+	for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+		res, err := BFS(chain, tn(0, 0), Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumReached() != 2000 || res.bitmapLevels != 0 {
+			t.Fatalf("chain, %v: reached %d with %d bitmap levels", mode, res.NumReached(), res.bitmapLevels)
+		}
+	}
+}
+
+// Thm. 2 as a count: a search's work — static and causal arcs examined
+// plus bitmap words scanned — stays within a small multiple of
+// |Ẽ|+|Ṽ|. On a 40k-node chain no level is wide enough for a bitmap,
+// so the work is the chain's arcs; running every level on bitmaps would
+// scan the whole id space per node. From the first stamp of Fig. 5's
+// e250k graph the bitmap levels do less work than |Ẽ|+|Ṽ|.
+func TestBFSWorkWithinThm2(t *testing.T) {
+	chain := chainGraph(40_000)
+	bound := chain.EdgeCount(egraph.CausalAllPairs) + chain.NumActiveNodes()
+	res, err := BFS(chain, tn(0, 0), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.bitmapLevels != 0 || res.work > 2*bound {
+		t.Fatalf("chain: work %d with %d bitmap levels, want ≤ 2·%d with none", res.work, res.bitmapLevels, bound)
+	}
+
+	g := gen.RandomSeries(10_000, 10, []int{250_000}, true, 1)[0]
+	bound = g.EdgeCount(egraph.CausalAllPairs) + g.NumActiveNodes()
+	for _, root := range stampZeroRoots(g, 4) {
+		res, err := BFS(g, root, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("e250k from %v: work %d, |Ẽ|+|Ṽ| %d (%.2f), %d of %d levels on bitmaps",
+			root, res.work, bound, float64(res.work)/float64(bound), res.bitmapLevels, len(res.levels)-1)
+		if res.bitmapLevels == 0 || res.work >= bound {
+			t.Fatalf("e250k from %v: work %d with %d bitmap levels, want < %d with some", root, res.work, res.bitmapLevels, bound)
 		}
 	}
 }

@@ -155,7 +155,7 @@ func ShortestPath(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode,
 		return nil, nil // Def. 4: no temporal path ends at an inactive node
 	}
 	stop := int32(g.TemporalNodeID(to))
-	res, err := search(g, []egraph.TemporalNode{from}, Options{Mode: mode, TrackParents: true}, frontierOutnumbers, stop)
+	res, err := search(g, []egraph.TemporalNode{from}, Options{Mode: mode, TrackParents: true}, amortised, stop)
 	if err != nil {
 		return nil, err
 	}

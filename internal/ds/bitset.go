@@ -289,6 +289,38 @@ func (b *BitSet) String() string {
 // and map bitsets without copying.
 func (b *BitSet) Words() []uint64 { return b.words }
 
+// WordAt returns the 64 bits starting at bit off, bit off lowest,
+// whether or not off is word-aligned. Bits at or past Len() read as 0.
+// With OrWordAt it lets a caller sweep a row of bits that starts
+// mid-word — one stamp of a stamp-major id space — a word at a time.
+func (b *BitSet) WordAt(off int) uint64 {
+	i, s := off/wordBits, uint(off%wordBits)
+	var w uint64
+	if i < len(b.words) {
+		w = b.words[i] >> s
+	}
+	if s != 0 && i+1 < len(b.words) {
+		w |= b.words[i+1] << (wordBits - s)
+	}
+	return w
+}
+
+// OrWordAt ORs w into the 64 bits starting at bit off, bit off lowest.
+// Bits of w that would land at or past Len() are dropped.
+func (b *BitSet) OrWordAt(off int, w uint64) {
+	if rest := b.n - off; rest < wordBits {
+		if rest <= 0 {
+			return
+		}
+		w &= 1<<uint(rest) - 1
+	}
+	i, s := off/wordBits, uint(off%wordBits)
+	b.words[i] |= w << s
+	if hi := w >> (wordBits - s); s != 0 && hi != 0 {
+		b.words[i+1] |= hi
+	}
+}
+
 // BitSetFromWords wraps an existing word slice as a BitSet of capacity
 // n bits without copying; the set aliases words for its lifetime. The
 // slice must hold exactly ceil(n/64) words and any bits at indices ≥ n

@@ -333,3 +333,43 @@ func TestBitSetBlit(t *testing.T) {
 		}
 	}
 }
+
+// WordAt and OrWordAt against a bit-by-bit model at every offset 0..191,
+// on sets whose last word is full (192 bits) and partial (150 bits):
+// reads past Len() return 0, and no write lands at or past Len().
+func TestBitSetWordAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{192, 150} {
+		for off := 0; off < 192; off++ {
+			b := NewBitSet(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 {
+					b.Set(i)
+				}
+			}
+			var want uint64
+			for j := 0; j < 64 && off+j < n; j++ {
+				if b.Get(off + j) {
+					want |= 1 << uint(j)
+				}
+			}
+			if got := b.WordAt(off); got != want {
+				t.Fatalf("n=%d: WordAt(%d) = %#x, want %#x", n, off, got, want)
+			}
+
+			w := rng.Uint64()
+			before := b.Clone()
+			b.OrWordAt(off, w)
+			for i := 0; i < n; i++ {
+				in := i >= off && i < off+64 && w&(1<<uint(i-off)) != 0
+				if b.Get(i) != (before.Get(i) || in) {
+					t.Fatalf("n=%d: OrWordAt(%d, %#x) left bit %d = %v", n, off, w, i, b.Get(i))
+				}
+			}
+			last := b.Words()[len(b.Words())-1]
+			if tail := n % wordBits; tail != 0 && last>>uint(tail) != 0 {
+				t.Fatalf("n=%d: OrWordAt(%d, %#x) wrote past Len(): last word %#x", n, off, w, last)
+			}
+		}
+	}
+}

@@ -68,3 +68,23 @@ func TestFrontierZeroValue(t *testing.T) {
 		t.Fatal("zero-value Frontier unusable after Reset")
 	}
 }
+
+// Reset clears the level bitmaps as it clears Visited: over the prefix
+// the last search dirtied, growing them with the id space.
+func TestFrontierResetClearsLevelBitmaps(t *testing.T) {
+	f := NewFrontier(1 << 12)
+	f.CurBits.Set(1<<12 - 1)
+	f.NextBits.Set(5)
+	f.Reset(64)
+	if f.NextBits.Any() {
+		t.Fatal("Reset left a NextBits bit in the dirtied prefix")
+	}
+	f.Reset(1 << 12)
+	if f.CurBits.Any() || f.NextBits.Any() {
+		t.Fatal("stale level-bitmap bit survived a return to the large range")
+	}
+	f.Reset(1 << 13)
+	if f.CurBits.Len() < 1<<13 || f.NextBits.Len() < 1<<13 {
+		t.Fatalf("Reset did not grow the level bitmaps: %d, %d", f.CurBits.Len(), f.NextBits.Len())
+	}
+}
