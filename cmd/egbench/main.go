@@ -13,11 +13,12 @@
 //   - bfs: single-source BFS (plus the parallel CSR engine) on the
 //     generator workloads named by -workloads;
 //   - components: components.SizeDistribution — one BFS per active
-//     temporal node, fanned across workers on the CSR engine;
+//     temporal node, 64 per pass of the CSR lane sweep (core.LaneSweep)
+//     against one oracle search per root;
 //   - influence: influence.Greedy seed selection (k=5, CELF) with
-//     concurrent CSR reach-set evaluation;
+//     candidate reach sets from the CSR lane sweep;
 //   - closeness: metrics.GlobalEfficiency — the all-pairs efficiency
-//     sweep;
+//     sweep, summed per distance from the lane sweep's level sizes;
 //   - compact: epoch-compaction latency vs delta size — the
 //     incremental copy-on-write PatchEvents + parallel arena-reused
 //     CSR build (engine "patch") raced against the full FoldEvents

@@ -39,7 +39,8 @@
 // closeness/efficiency, temporal Katz — traverses the same cached view
 // (DESIGN.md §9), with the equivalent escape hatches on
 // ComponentOptions, InfluenceOptions, MetricOptions and KatzOptions,
-// and per-root sweeps fanned across worker pools. The CSR view itself
+// and per-root sweeps run 64 roots per pass as the bit lanes of one
+// traversal, fanned across workers. The CSR view itself
 // is available through Graph.CSR for code that wants to traverse the
 // unfolded graph directly.
 package evolving
@@ -262,8 +263,9 @@ func TemporalDiameter(g *Graph, mode CausalMode) int {
 // SourceStats summarises one source of an all-sources BFS sweep.
 type SourceStats = core.SourceStats
 
-// AllSourcesBFS runs a BFS from every active temporal node over a worker
-// pool and returns per-source reach/eccentricity/closeness.
+// AllSourcesBFS runs a BFS from every active temporal node, 64 per pass
+// of the lane sweep over workers goroutines, and returns per-source
+// reach/eccentricity/closeness; closeness is summed per distance.
 func AllSourcesBFS(g *Graph, mode CausalMode, workers int) []SourceStats {
 	return core.AllSourcesBFS(g, mode, workers)
 }

@@ -14,8 +14,9 @@
 // Every entry point traverses the graph's cached flat CSR view
 // (Graph.CSR, DESIGN.md §8-9) by default: weak components union-find
 // directly over CSR arcs, strong components run per-snapshot Tarjan off
-// the CSR rows, and the size distribution fans its per-root BFS runs
-// across a worker pool with pooled frontier scratch (core.ReachSweep).
+// the CSR rows, and the size distribution runs its per-root searches 64
+// at a time as the bit lanes of core.LaneSweep, summing each root's
+// level sizes.
 // Options.UseAdjacencyMaps routes each computation through the original
 // per-stamp adjacency traversal instead — slower, kept as the
 // differential-testing oracle; results are identical either way, which
@@ -46,9 +47,9 @@ type Options struct {
 	// of the flat CSR view. Results are identical; the slow path is kept
 	// for differential testing.
 	UseAdjacencyMaps bool
-	// Workers bounds the fan-out of SizeDistribution's per-root BFS
-	// sweep on the CSR engine; 0 means GOMAXPROCS. The oracle engine is
-	// always sequential.
+	// Workers bounds the fan-out of SizeDistribution's lane sweep on the
+	// CSR engine; 0 means GOMAXPROCS. The oracle engine is always
+	// sequential.
 	Workers int
 }
 
@@ -256,7 +257,7 @@ func OutComponentOpts(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts
 // SizeDistribution returns the multiset of out-component sizes over all
 // active temporal nodes, sorted descending — the influence profile of
 // the graph. Cost is one BFS per active temporal node; on the default
-// engine the runs are fanned across workers with pooled scratch.
+// engine they run 64 per pass of core.LaneSweep, fanned across workers.
 func SizeDistribution(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []int {
 	return SizeDistributionOpts(g, Options{Mode: mode})
 }
@@ -276,8 +277,15 @@ func SizeDistributionOpts(g *egraph.IntEvolvingGraph, opts Options) []int {
 		}
 	} else {
 		// Roots are active by construction, so the sweep cannot fail.
-		_ = core.ReachSweep(g, roots, core.Options{Mode: opts.Mode}, opts.Workers,
-			func(i int, reached []int32) { sizes[i] = len(reached) })
+		_ = core.LaneSweep(g, roots, core.Options{Mode: opts.Mode}, opts.Workers, func(b *core.LaneBatch) {
+			var levels []int
+			for l := 0; l < b.Lanes; l++ {
+				levels = b.LevelSizes(l, levels[:0])
+				for _, size := range levels {
+					sizes[b.First+l] += size
+				}
+			}
+		})
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	return sizes

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-
-	"repro/internal/egraph"
-)
+import "repro/internal/egraph"
 
 // SourceStats summarises one source's BFS for the all-sources sweep.
 type SourceStats struct {
@@ -15,68 +10,36 @@ type SourceStats struct {
 	Closeness    float64 // Σ 1/d over reached nodes at d > 0
 }
 
-// AllSourcesBFS runs one BFS from every active temporal node, fanned out
-// over a worker pool, and returns per-source statistics in unfolding
-// order. It is the building block for diameters, closeness rankings and
-// reachability profiles at analysis scale; workers ≤ 0 means GOMAXPROCS.
-//
-// Each worker owns its BFS scratch state; the graph is read-only and
-// safe to share.
+// AllSourcesBFS runs one BFS from every active temporal node, 64 per
+// pass of LaneSweep over workers goroutines (≤ 0 means GOMAXPROCS), and
+// returns per-source statistics in g.ActiveTemporalNodes order. It is
+// the building block for diameters, closeness rankings and reachability
+// profiles at analysis scale. Closeness is summed per distance, Σ_d
+// L_d/d over the level sizes L_d, so it can differ from a sum over
+// reached nodes in the last bits.
 func AllSourcesBFS(g *egraph.IntEvolvingGraph, mode egraph.CausalMode, workers int) []SourceStats {
-	u := g.Unfold(mode)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]SourceStats, len(u.Order))
-	var next int64
-	var mu sync.Mutex
-	take := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= int64(len(u.Order)) {
-			return -1
-		}
-		i := int(next)
-		next++
-		return i
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := take()
-				if i < 0 {
-					return
+	roots := g.ActiveTemporalNodes()
+	out := make([]SourceStats, len(roots))
+	// Roots are active by construction, so the sweep cannot fail.
+	_ = LaneSweep(g, roots, Options{Mode: mode}, workers, func(b *LaneBatch) {
+		var levels []int
+		for l := 0; l < b.Lanes; l++ {
+			levels = b.LevelSizes(l, levels[:0])
+			st := SourceStats{Root: roots[b.First+l], Eccentricity: len(levels) - 1}
+			for d, size := range levels {
+				st.Reached += size
+				if d > 0 {
+					st.Closeness += float64(size) / float64(d)
 				}
-				root := u.Order[i]
-				res, err := BFS(g, root, Options{Mode: mode})
-				if err != nil {
-					out[i] = SourceStats{Root: root}
-					continue
-				}
-				st := SourceStats{
-					Root:         root,
-					Reached:      res.NumReached(),
-					Eccentricity: res.MaxDist(),
-				}
-				res.Visit(func(_ egraph.TemporalNode, d int) bool {
-					if d > 0 {
-						st.Closeness += 1 / float64(d)
-					}
-					return true
-				})
-				out[i] = st
 			}
-		}()
-	}
-	wg.Wait()
+			out[b.First+l] = st
+		}
+	})
 	return out
 }
 
 // ParallelTemporalDiameter computes the temporal diameter with the
-// all-sources worker pool.
+// all-sources lane sweep.
 func ParallelTemporalDiameter(g *egraph.IntEvolvingGraph, mode egraph.CausalMode, workers int) int {
 	diam := 0
 	for _, st := range AllSourcesBFS(g, mode, workers) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,8 @@ func TestAllSourcesBFSFigure1(t *testing.T) {
 }
 
 // Property: the parallel all-sources sweep agrees with per-source BFS
-// for any worker count.
+// for any worker count, in unfolding order, with closeness within
+// rounding of the sum over reached nodes.
 func TestAllSourcesBFSMatchesSequential(t *testing.T) {
 	f := func(seed int64, directed bool, workerSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -42,8 +44,15 @@ func TestAllSourcesBFSMatchesSequential(t *testing.T) {
 			if err != nil {
 				return false
 			}
+			closeness := 0.0
+			res.Visit(func(_ egraph.TemporalNode, d int) bool {
+				if d > 0 {
+					closeness += 1 / float64(d)
+				}
+				return true
+			})
 			if stats[i].Root != root || stats[i].Reached != res.NumReached() ||
-				stats[i].Eccentricity != res.MaxDist() {
+				stats[i].Eccentricity != res.MaxDist() || math.Abs(stats[i].Closeness-closeness) > 1e-12*closeness {
 				return false
 			}
 		}

@@ -10,7 +10,10 @@ package core
 // stamp's row of the id space crosses word boundaries. A forward,
 // unbounded, parent-tracking case on unreversed edges also checks that
 // ShortestPath, which stops at its target's level, returns the oracle's
-// path to every active temporal node.
+// path to every active temporal node. A case without parents also runs
+// LaneSweep over every active temporal node, the list given twice so
+// that it passes 64 lanes and repeats every root, and each lane must
+// equal the oracle's search from its root.
 //
 // Run with the race detector:
 //
@@ -21,7 +24,8 @@ package core
 // every label whose middle stamps are claimed by static arcs in the
 // level its first stamp expands (the causal cutoff's skip case), rows of
 // 70 bits that straddle words, a consecutive-mode node whose carry
-// passes an inactive stamp, and a backward search on spread ids.
+// passes an inactive stamp, a backward search on spread ids, and a ring
+// active at every node and label, whose 60 roots sweep in two batches.
 
 import (
 	"fmt"
@@ -116,6 +120,10 @@ func FuzzBFSEngines(f *testing.F) {
 		if !opts.TrackParents {
 			assertSameDistances(t, label, got, want)
 			assertSameLevels(t, label, got, want)
+			active := g.ActiveTemporalNodes()
+			if err := checkLaneSweep(g, append(active, active...), opts, oracle, 2); err != nil {
+				t.Fatalf("%+v: lane sweep: %v", opts, err)
+			}
 			return
 		}
 		assertIdentical(t, label, got, want)

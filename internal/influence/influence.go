@@ -11,20 +11,21 @@
 //
 // Influence sets are materialised once as per-source node bitsets via
 // the paper's BFS from each node's earliest active stamp. By default the
-// searches run on the graph's cached flat CSR view (DESIGN.md §8-9),
-// evaluated concurrently across a worker pool with pooled frontier
-// scratch (core.ReachSweep); Options.UseAdjacencyMaps instead runs one
-// adjacency-map BFS per candidate — the differential-testing oracle,
-// producing bit-identical reach sets, seeds and spreads. Either way the
-// cost is one O(|E| + |V|) search per candidate and |V|²/8 bytes of
-// bitsets — exact and fine at mining scale; use internal/sketch for
-// read-only influence *ranking* on graphs too large to materialise.
+// searches run on the graph's cached flat CSR view (DESIGN.md §8-9), 64
+// candidates per pass as the bit lanes of core.LaneSweep, whose final
+// lane masks collapse to the node bitsets; Spread is one multi-source
+// search. Options.UseAdjacencyMaps instead runs one adjacency-map BFS per
+// candidate — the differential-testing oracle, producing bit-identical
+// reach sets, seeds and spreads. Either way the cost is at most one
+// O(|E| + |V|) search per candidate and |V|²/8 bytes of bitsets — exact
+// and fine at mining scale; use internal/sketch for read-only influence
+// *ranking* on graphs too large to materialise.
 package influence
 
 import (
 	"container/heap"
 	"fmt"
-	"sync"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/ds"
@@ -44,11 +45,12 @@ type Options struct {
 	Candidates []int32
 	// UseAdjacencyMaps evaluates reach sets with the adjacency-map
 	// oracle (one sequential core.BFS plus a full temporal-node scan per
-	// candidate) instead of the concurrent CSR sweep. Kept for
-	// differential testing; results are identical.
+	// candidate) instead of the CSR lane sweep, and runs Spread's search
+	// on the oracle engine. Kept for differential testing; results are
+	// identical.
 	UseAdjacencyMaps bool
-	// Workers bounds the concurrency of CSR reach-set evaluation;
-	// 0 means GOMAXPROCS.
+	// Workers bounds the concurrency of the CSR lane sweep behind
+	// Greedy; 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -120,124 +122,92 @@ func Greedy(g *egraph.IntEvolvingGraph, k int, opts Options) ([]Seed, error) {
 }
 
 // Spread returns the exact joint coverage of an arbitrary seed set: the
-// number of distinct nodes influenced by at least one seed. Unlike
-// Greedy it never holds per-seed reach sets — every search folds
-// straight into one covered bitset — so memory stays O(|V|/8) however
-// many seeds are passed.
+// number of distinct nodes influenced by at least one seed. The union of
+// the seeds' reach sets is the reach set of one multi-source search from
+// their earliest active stamps, so Spread runs one core.MultiSourceBFS
+// and never holds per-seed reach sets, however many seeds are passed.
 func Spread(g *egraph.IntEvolvingGraph, seeds []int32, opts Options) (int, error) {
 	for _, v := range seeds {
 		if v < 0 || int(v) >= g.NumNodes() {
 			return 0, fmt.Errorf("influence: seed %d out of range (n=%d)", v, g.NumNodes())
 		}
 	}
-	n := g.NumNodes()
-	covered := ds.NewBitSet(n)
-	if opts.UseAdjacencyMaps {
-		for _, v := range seeds {
-			r, err := reachSetReference(g, v, opts)
-			if err != nil {
-				return 0, err
-			}
-			if r != nil {
-				covered.Or(r)
-			}
-		}
-		return covered.Count(), nil
+	_, roots := earliestRoots(g, seeds)
+	if len(roots) == 0 {
+		return 0, nil
 	}
-	roots := make([]egraph.TemporalNode, 0, len(seeds))
-	for _, v := range seeds {
-		if stamps := g.ActiveStamps(v); len(stamps) > 0 {
-			roots = append(roots, egraph.TemporalNode{Node: v, Stamp: stamps[0]})
-		}
-	}
-	var mu sync.Mutex
-	err := core.ReachSweep(g, roots, core.Options{Mode: opts.Mode, ReverseEdges: opts.ReverseEdges},
-		opts.Workers, func(_ int, reached []int32) {
-			mu.Lock()
-			for _, id := range reached {
-				covered.Set(int(id) % n) // temporal id t·N+v → node v
-			}
-			mu.Unlock()
-		})
+	res, err := core.MultiSourceBFS(g, roots, core.Options{
+		Mode: opts.Mode, ReverseEdges: opts.ReverseEdges, UseAdjacencyMaps: opts.UseAdjacencyMaps,
+	})
 	if err != nil {
 		return 0, err // unreachable: roots are earliest active stamps
 	}
-	return covered.Count(), nil
+	return res.DistinctNodes(), nil
 }
 
 // reachSets materialises the per-candidate influence bitsets: candidate
 // v covers node w iff some (w, s) is reachable from v's earliest active
 // temporal node. Never-active candidates are skipped (no map entry). The
-// default engine collapses concurrent CSR reach sweeps; the oracle runs
-// one adjacency-map BFS per candidate.
+// default engine collapses each core.LaneSweep batch's lane masks to
+// node bitsets; the oracle runs one adjacency-map BFS per candidate and
+// scans every active temporal node.
 func reachSets(g *egraph.IntEvolvingGraph, candidates []int32, opts Options) (map[int32]*ds.BitSet, error) {
-	out := make(map[int32]*ds.BitSet, len(candidates))
-	if opts.UseAdjacencyMaps {
-		for _, v := range candidates {
-			r, err := reachSetReference(g, v, opts)
-			if err != nil {
-				return nil, err
-			}
-			if r != nil {
-				out[v] = r
-			}
-		}
-		return out, nil
-	}
-	nodes := make([]int32, 0, len(candidates))
-	roots := make([]egraph.TemporalNode, 0, len(candidates))
-	for _, v := range candidates {
-		stamps := g.ActiveStamps(v)
-		if len(stamps) == 0 {
-			continue
-		}
-		nodes = append(nodes, v)
-		roots = append(roots, egraph.TemporalNode{Node: v, Stamp: stamps[0]})
-	}
+	nodes, roots := earliestRoots(g, candidates)
 	sets := make([]*ds.BitSet, len(roots))
 	n := g.NumNodes()
-	err := core.ReachSweep(g, roots, core.Options{Mode: opts.Mode, ReverseEdges: opts.ReverseEdges},
-		opts.Workers, func(i int, reached []int32) {
-			set := ds.NewBitSet(n)
-			for _, id := range reached {
-				set.Set(int(id) % n) // temporal id t·N+v → node v
+	copts := core.Options{Mode: opts.Mode, ReverseEdges: opts.ReverseEdges}
+	if opts.UseAdjacencyMaps {
+		copts.UseAdjacencyMaps = true
+		for i, root := range roots {
+			res, err := core.BFS(g, root, copts)
+			if err != nil {
+				return nil, fmt.Errorf("influence: BFS from %v: %w", root, err)
 			}
-			sets[i] = set
+			sets[i] = ds.NewBitSet(n)
+			for w := int32(0); w < int32(n); w++ {
+				for _, s := range g.ActiveStamps(w) {
+					if res.Reached(egraph.TemporalNode{Node: w, Stamp: s}) {
+						sets[i].Set(int(w))
+						break
+					}
+				}
+			}
+		}
+	} else {
+		// Roots are earliest active stamps, so the sweep cannot fail.
+		_ = core.LaneSweep(g, roots, copts, opts.Workers, func(b *core.LaneBatch) {
+			// A node's lanes are those that reach it at some stamp.
+			lanes := make([]uint64, n)
+			for _, id := range b.Reached() {
+				lanes[int(id)%n] |= b.Mask(id) // temporal id t·N+v → node v
+			}
+			for l := 0; l < b.Lanes; l++ {
+				sets[b.First+l] = ds.NewBitSet(n)
+			}
+			for v, m := range lanes {
+				for ; m != 0; m &= m - 1 {
+					sets[b.First+bits.TrailingZeros64(m)].Set(v)
+				}
+			}
 		})
-	if err != nil {
-		return nil, err // unreachable: roots are earliest active stamps
 	}
+	out := make(map[int32]*ds.BitSet, len(nodes))
 	for i, v := range nodes {
 		out[v] = sets[i]
 	}
 	return out, nil
 }
 
-// reachSetReference is the adjacency-map oracle: the paper's BFS from
-// v's earliest active stamp, collapsed to a distinct-node bitset by a
-// full temporal-node scan. nil (no error) for never-active nodes.
-func reachSetReference(g *egraph.IntEvolvingGraph, v int32, opts Options) (*ds.BitSet, error) {
-	stamps := g.ActiveStamps(v)
-	if len(stamps) == 0 {
-		return nil, nil
-	}
-	root := egraph.TemporalNode{Node: v, Stamp: stamps[0]}
-	res, err := core.BFS(g, root, core.Options{
-		Mode: opts.Mode, ReverseEdges: opts.ReverseEdges, UseAdjacencyMaps: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("influence: BFS from %v: %w", root, err)
-	}
-	set := ds.NewBitSet(g.NumNodes())
-	for w := int32(0); w < int32(g.NumNodes()); w++ {
-		for _, s := range g.ActiveStamps(w) {
-			if res.Reached(egraph.TemporalNode{Node: w, Stamp: s}) {
-				set.Set(int(w))
-				break
-			}
+// earliestRoots pairs each node of vs that is ever active with its
+// earliest active temporal node, dropping the never-active ones.
+func earliestRoots(g *egraph.IntEvolvingGraph, vs []int32) (nodes []int32, roots []egraph.TemporalNode) {
+	for _, v := range vs {
+		if stamps := g.ActiveStamps(v); len(stamps) > 0 {
+			nodes = append(nodes, v)
+			roots = append(roots, egraph.TemporalNode{Node: v, Stamp: stamps[0]})
 		}
 	}
-	return set, nil
+	return nodes, roots
 }
 
 type gainEntry struct {

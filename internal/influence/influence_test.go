@@ -192,9 +192,9 @@ func TestGreedyApproximationBound(t *testing.T) {
 	}
 }
 
-// Differential engine equivalence: seeds and spreads from the
-// concurrent CSR reach sweep must be identical to the adjacency-map
-// oracle, across causal modes and edge senses.
+// Differential engine equivalence: seeds from the CSR lane sweep and
+// spreads from the CSR multi-source search must be identical to the
+// adjacency-map oracle, across causal modes and edge senses.
 func assertEnginesAgree(t *testing.T, g *egraph.IntEvolvingGraph, label string) {
 	t.Helper()
 	for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {

@@ -19,18 +19,17 @@
 //
 // The BFS-backed centralities (TemporalCloseness, GlobalEfficiency) run
 // on the graph's cached flat CSR view by default (DESIGN.md §8-9), with
-// GlobalEfficiency fanning its one-BFS-per-root sweep across a worker
-// pool; Options.UseAdjacencyMaps selects the adjacency-map oracle
-// instead. Per-root contributions are always combined in root order, so
-// results are bit-identical across engines and worker counts.
+// GlobalEfficiency running its one-BFS-per-root sweep 64 roots at a time
+// as the bit lanes of core.LaneSweep; Options.UseAdjacencyMaps selects
+// the adjacency-map oracle instead. Efficiency sums each root's
+// contribution per distance from its level sizes and combines them in
+// root order, so results are bit-identical across engines and worker
+// counts.
 package metrics
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/ds"
@@ -48,11 +47,10 @@ type Options struct {
 	// adjacency-map oracle instead of the flat CSR engine. Kept for
 	// differential testing; results are bit-identical.
 	UseAdjacencyMaps bool
-	// Workers bounds the fan-out of GlobalEfficiency's per-root sweep
-	// on the CSR engine; 0 means GOMAXPROCS. The oracle engine is
-	// always sequential (matching components.Options), so engine
-	// comparisons race the parallel default against the pre-CSR
-	// implementation.
+	// Workers bounds the fan-out of GlobalEfficiency's lane sweep on
+	// the CSR engine; 0 means GOMAXPROCS. The oracle engine is always
+	// sequential (matching components.Options), so engine comparisons
+	// race the parallel default against the pre-CSR implementation.
 	Workers int
 }
 
@@ -188,13 +186,6 @@ func TemporalClosenessOpts(g *egraph.IntEvolvingGraph, root egraph.TemporalNode,
 	if err != nil {
 		return 0, err
 	}
-	return closenessOf(res), nil
-}
-
-// closenessOf accumulates Σ 1/d over a BFS result in temporal-node id
-// order (the Visit order) — kept in one place so every engine and sweep
-// sums identically.
-func closenessOf(res *core.Result) float64 {
 	sum := 0.0
 	res.Visit(func(_ egraph.TemporalNode, d int) bool {
 		if d > 0 {
@@ -202,7 +193,7 @@ func closenessOf(res *core.Result) float64 {
 		}
 		return true
 	})
-	return sum
+	return sum, nil
 }
 
 // EfficiencyStats summarises global temporal-connectivity efficiency.
@@ -227,18 +218,13 @@ func GlobalEfficiency(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) Effici
 	return GlobalEfficiencyOpts(g, Options{Mode: mode})
 }
 
-// sourcePartial is one root's contribution to the efficiency sweep.
-type sourcePartial struct {
-	eff, dist float64
-	reachable int
-	ecc       int
-}
-
 // GlobalEfficiencyOpts is GlobalEfficiency with engine and worker
-// control. The per-root searches are fanned across Workers goroutines;
-// each root's contribution is accumulated in temporal-node id order and
-// the partials are combined in root order, so the result is
-// bit-identical across engines and worker counts.
+// control. The CSR engine runs the per-root searches 64 at a time as the
+// bit lanes of core.LaneSweep, fanned across Workers goroutines; the
+// oracle runs one adjacency-map BFS per root. Both keep each root's
+// level sizes L_d, from which its contribution is summed per distance
+// (Σ L_d/d, Σ d·L_d and Σ L_d over d > 0) and combined in root order,
+// so the result is bit-identical across engines and worker counts.
 func GlobalEfficiencyOpts(g *egraph.IntEvolvingGraph, opts Options) EfficiencyStats {
 	roots := g.ActiveTemporalNodes()
 	n := len(roots)
@@ -246,57 +232,35 @@ func GlobalEfficiencyOpts(g *egraph.IntEvolvingGraph, opts Options) EfficiencySt
 	if n < 2 {
 		return st
 	}
-	workers := opts.Workers
+	levels := make([][]int, n)
 	if opts.UseAdjacencyMaps {
-		workers = 1 // the oracle is the sequential pre-CSR implementation
-	} else if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	parts := make([]sourcePartial, n)
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				res, err := core.BFS(g, roots[i], core.Options{Mode: opts.Mode, UseAdjacencyMaps: opts.UseAdjacencyMaps})
-				if err != nil {
-					continue // unreachable: roots are active by construction
-				}
-				p := &parts[i]
-				res.Visit(func(_ egraph.TemporalNode, d int) bool {
-					if d > 0 {
-						p.eff += 1 / float64(d)
-						p.dist += float64(d)
-						p.reachable++
-						if d > p.ecc {
-							p.ecc = d
-						}
-					}
-					return true
-				})
+		for i, root := range roots {
+			res, err := core.BFS(g, root, core.Options{Mode: opts.Mode, UseAdjacencyMaps: true})
+			if err != nil {
+				continue // unreachable: roots are active by construction
 			}
-		}()
+			levels[i] = res.LevelSizes()
+		}
+	} else {
+		// Roots are active by construction, so the sweep cannot fail.
+		_ = core.LaneSweep(g, roots, core.Options{Mode: opts.Mode}, opts.Workers, func(b *core.LaneBatch) {
+			for l := 0; l < b.Lanes; l++ {
+				levels[b.First+l] = b.LevelSizes(l, nil)
+			}
+		})
 	}
-	wg.Wait()
 
 	var effSum, distSum float64
 	reachable := 0
-	for i := range parts {
-		effSum += parts[i].eff
-		distSum += parts[i].dist
-		reachable += parts[i].reachable
-		if parts[i].ecc > st.Diameter {
-			st.Diameter = parts[i].ecc
+	for _, lv := range levels {
+		eff := 0.0
+		for d := 1; d < len(lv); d++ {
+			eff += float64(lv[d]) / float64(d)
+			distSum += float64(d * lv[d])
+			reachable += lv[d]
 		}
+		effSum += eff
+		st.Diameter = max(st.Diameter, len(lv)-1)
 	}
 	pairs := float64(n * (n - 1))
 	st.Efficiency = effSum / pairs

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/egraph"
 	"repro/internal/gen"
 )
@@ -241,18 +242,74 @@ func TestGlobalEfficiencyTrivial(t *testing.T) {
 	}
 }
 
+// visitOrderEfficiency sums GlobalEfficiency node by node: 1/d and d
+// for every temporal node each root's BFS reaches, in Visit order.
+func visitOrderEfficiency(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) EfficiencyStats {
+	roots := g.ActiveTemporalNodes()
+	var st EfficiencyStats
+	var effSum, distSum float64
+	reachable := 0
+	for _, root := range roots {
+		res, err := core.BFS(g, root, core.Options{Mode: mode})
+		if err != nil {
+			panic(err)
+		}
+		var eff, dist float64
+		res.Visit(func(_ egraph.TemporalNode, d int) bool {
+			if d > 0 {
+				eff += 1 / float64(d)
+				dist += float64(d)
+				reachable++
+				st.Diameter = max(st.Diameter, d)
+			}
+			return true
+		})
+		effSum += eff
+		distSum += dist
+	}
+	pairs := float64(len(roots) * (len(roots) - 1))
+	st.Efficiency = effSum / pairs
+	st.ReachableFraction = float64(reachable) / pairs
+	st.MeanDistance = distSum / float64(reachable)
+	return st
+}
+
+// Summing each root's efficiency per distance moves it from the
+// node-by-node sum by rounding only; the other fields come from
+// integer-valued sums and must not move at all.
+func TestGlobalEfficiencyMatchesVisitOrder(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		g := gen.Random(gen.RandomConfig{Nodes: 250, Stamps: 8, Edges: 2500, Directed: true, Seed: seed})
+		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+			got, want := GlobalEfficiency(g, mode), visitOrderEfficiency(g, mode)
+			drift := math.Abs(got.Efficiency-want.Efficiency) / want.Efficiency
+			t.Logf("seed %d mode %v: efficiency %v, node-by-node %v, relative drift %.1e", seed, mode, got.Efficiency, want.Efficiency, drift)
+			if drift > 1e-12 {
+				t.Errorf("seed %d mode %v: efficiency drifts %.1e relative, want ≤ 1e-12", seed, mode, drift)
+			}
+			got.Efficiency = want.Efficiency
+			if got != want {
+				t.Errorf("seed %d mode %v: stats %+v, node-by-node %+v", seed, mode, got, want)
+			}
+		}
+	}
+}
+
 // Differential engine equivalence: the CSR-backed closeness and
 // efficiency sweeps must return float-bit-identical results to the
-// adjacency-map oracle (the underlying dist arrays are identical and
-// both paths accumulate in the same order), across causal modes,
-// worker counts and generator workloads.
+// adjacency-map oracle (closeness sums identical dist arrays in the same
+// order, efficiency sums identical level sizes the same way), across
+// causal modes, worker counts and generator workloads.
 func assertEnginesAgree(t *testing.T, g *egraph.IntEvolvingGraph, label string) {
 	t.Helper()
 	for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
 		csr := Options{Mode: mode, Workers: 3}
 		oracle := Options{Mode: mode, UseAdjacencyMaps: true, Workers: 1}
-		if got, want := GlobalEfficiencyOpts(g, csr), GlobalEfficiencyOpts(g, oracle); got != want {
-			t.Fatalf("%s mode %v: GlobalEfficiency diverges:\ncsr  %+v\nmaps %+v", label, mode, got, want)
+		want := GlobalEfficiencyOpts(g, oracle)
+		for _, workers := range []int{1, 3} {
+			if got := GlobalEfficiencyOpts(g, Options{Mode: mode, Workers: workers}); got != want {
+				t.Fatalf("%s mode %v workers %d: GlobalEfficiency diverges:\ncsr  %+v\nmaps %+v", label, mode, workers, got, want)
+			}
 		}
 		for i, root := range g.ActiveTemporalNodes() {
 			if i%3 != 0 {

@@ -120,22 +120,26 @@ func decodeComponentsSizes(s *Server, p *params) (string, func() (interface{}, e
 	key := fmt.Sprintf("components/sizes?mode=%s&limit=%d", modeName(mode), limit)
 	return key, func() (interface{}, error) {
 		sizes := components.SizeDistributionOpts(p.g, components.Options{Mode: mode, Workers: s.cfg.Workers})
-		resp := &SizeDistributionResponse{Mode: modeName(mode), Count: len(sizes), Sizes: []int{}}
-		var sum int
-		for _, sz := range sizes {
-			sum += sz
-		}
-		if len(sizes) > 0 {
-			resp.MaxSize = sizes[0]
-			resp.MeanSize = float64(sum) / float64(len(sizes))
-		}
-		if limit > 0 && len(sizes) > limit {
-			sizes = sizes[:limit]
-			resp.Truncated = true
-		}
-		resp.Sizes = append(resp.Sizes, sizes...)
-		return resp, nil
+		return sizesResponse(sizes, modeName(mode), limit), nil
 	}
+}
+
+func sizesResponse(sizes []int, mode string, limit int) *SizeDistributionResponse {
+	resp := &SizeDistributionResponse{Mode: mode, Count: len(sizes), Sizes: []int{}}
+	var sum int
+	for _, sz := range sizes {
+		sum += sz
+	}
+	if len(sizes) > 0 {
+		resp.MaxSize = sizes[0]
+		resp.MeanSize = float64(sum) / float64(len(sizes))
+	}
+	if limit > 0 && len(sizes) > limit {
+		sizes = sizes[:limit]
+		resp.Truncated = true
+	}
+	resp.Sizes = append(resp.Sizes, sizes...)
+	return resp
 }
 
 // InfluenceSeedJSON is one greedy selection step of /influence/greedy.
@@ -173,13 +177,17 @@ func decodeInfluenceGreedy(s *Server, p *params) (string, func() (interface{}, e
 		if err != nil {
 			return nil, err
 		}
-		resp := &InfluenceResponse{K: k, Mode: modeName(mode), Reverse: reverse, Seeds: []InfluenceSeedJSON{}}
-		for _, seed := range seeds {
-			resp.Seeds = append(resp.Seeds, InfluenceSeedJSON{Node: seed.Node, Gain: seed.Gain, Covered: seed.Covered})
-			resp.Covered = seed.Covered
-		}
-		return resp, nil
+		return influenceResponse(seeds, k, modeName(mode), reverse), nil
 	}
+}
+
+func influenceResponse(seeds []influence.Seed, k int, mode string, reverse bool) *InfluenceResponse {
+	resp := &InfluenceResponse{K: k, Mode: mode, Reverse: reverse, Seeds: []InfluenceSeedJSON{}}
+	for _, seed := range seeds {
+		resp.Seeds = append(resp.Seeds, InfluenceSeedJSON{Node: seed.Node, Gain: seed.Gain, Covered: seed.Covered})
+		resp.Covered = seed.Covered
+	}
+	return resp
 }
 
 // ClosenessResponse is the wire form of /closeness.

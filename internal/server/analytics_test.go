@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,8 +12,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/components"
 	"repro/internal/egraph"
 	"repro/internal/gen"
+	"repro/internal/influence"
 	"repro/internal/qcache"
 )
 
@@ -169,6 +172,39 @@ func TestAnalyticsEndpoints(t *testing.T) {
 				tc.check(t, rec.Body.Bytes())
 			}
 		})
+	}
+}
+
+// TestSweepBodiesMatchOracle asserts that the /components/sizes and
+// /influence/greedy answers, computed by the CSR lane sweep over several
+// batches, are byte for byte the bodies built from the adjacency-map
+// oracle.
+func TestSweepBodiesMatchOracle(t *testing.T) {
+	g := gen.Random(gen.RandomConfig{Nodes: 120, Stamps: 5, Edges: 700, Directed: true, Seed: 11})
+	srv := New(g, Config{Workers: 3})
+	assertBody := func(url string, resp interface{}) {
+		t.Helper()
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := doGet(t, srv, url)
+		if got := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("GET %s: status %d, body\n%s\noracle body\n%s", url, rec.Code, got, want)
+		}
+	}
+	for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+		name := modeName(mode)
+		sizes := components.SizeDistributionOpts(g, components.Options{Mode: mode, UseAdjacencyMaps: true})
+		assertBody("/components/sizes?limit=0&mode="+name, sizesResponse(sizes, name, 0))
+		for _, reverse := range []bool{false, true} {
+			seeds, err := influence.Greedy(g, 5, influence.Options{Mode: mode, ReverseEdges: reverse, UseAdjacencyMaps: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBody(fmt.Sprintf("/influence/greedy?k=5&mode=%s&reverse=%t", name, reverse),
+				influenceResponse(seeds, 5, name, reverse))
+		}
 	}
 }
 

@@ -78,13 +78,13 @@ type Config struct {
 	CacheShards int
 	// MaxInFlight bounds concurrently *computing* expensive queries —
 	// collapsed and cached requests don't consume a slot. 0 means
-	// GOMAXPROCS, the same sizing core.ReachSweep gives its worker
-	// pool: analytics computations saturate the machine on their own,
-	// so admitting more than one per core only adds scheduling churn.
+	// GOMAXPROCS, the same sizing core.LaneSweep gives its workers:
+	// analytics computations saturate the machine on their own, so
+	// admitting more than one per core only adds scheduling churn.
 	MaxInFlight int
 	// Workers is the per-computation fan-out passed to the analytics
-	// worker pools (components sweep, influence reach sets, efficiency
-	// sweep); 0 means GOMAXPROCS.
+	// lane sweeps (component sizes, influence reach sets, efficiency);
+	// 0 means GOMAXPROCS.
 	Workers int
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...interface{})
