@@ -267,47 +267,3 @@ func BenchmarkJournalReplay(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkPointToPoint compares the full-BFS ShortestPath against the
-// bidirectional meet-in-the-middle search for point-to-point queries.
-func BenchmarkPointToPoint(b *testing.B) {
-	g := evolving.Random(evolving.RandomConfig{
-		Nodes: 20_000, Stamps: 10, Edges: 200_000, Directed: true, Seed: 41,
-	})
-	from := evolving.TemporalNode{Node: int32(g.ActiveNodes(0).NextSet(0)), Stamp: 0}
-	// A mid-distance target: walk a few BFS levels out.
-	res, err := evolving.BFS(g, from, evolving.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var to evolving.TemporalNode
-	found := false
-	for v := int32(0); v < int32(g.NumNodes()) && !found; v++ {
-		for _, s := range g.ActiveStamps(v) {
-			tn := evolving.TemporalNode{Node: v, Stamp: s}
-			if res.Dist(tn) == 4 {
-				to, found = tn, true
-				break
-			}
-		}
-	}
-	if !found {
-		b.Fatal("no node at distance 4; adjust workload")
-	}
-	b.Run("full-bfs", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			p, err := evolving.ShortestPath(g, from, to, evolving.CausalAllPairs)
-			if err != nil || p == nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bidirectional", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			p, ok, err := evolving.BidirectionalShortestPath(g, from, to, evolving.CausalAllPairs)
-			if err != nil || !ok || p == nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

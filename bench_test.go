@@ -109,31 +109,6 @@ func BenchmarkAlgebraicDenseVsCSC(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelBFS is the parallel-BFS ablation: the same search at
-// 1, 2, 4 and 8 workers (plus the sequential baseline).
-func BenchmarkParallelBFS(b *testing.B) {
-	g := evolving.Random(evolving.RandomConfig{
-		Nodes: 50_000, Stamps: 10, Edges: 1_000_000, Directed: true, Seed: 3,
-	})
-	root := evolving.TemporalNode{Node: int32(g.ActiveNodes(0).NextSet(0)), Stamp: 0}
-	b.Run("sequential", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			if _, err := evolving.BFS(g, root, evolving.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				if _, err := evolving.ParallelBFS(g, root, evolving.ParallelOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCausalModes is the all-pairs vs consecutive causal-edge
 // ablation on a stamp-heavy graph where nodes are active many times
 // (all-pairs edge sets grow quadratically with activity).

@@ -10,8 +10,8 @@
 // (the default, DESIGN.md §8) against the adjacency-map oracle
 // (Options.UseAdjacencyMaps) across the suites named by -suites:
 //
-//   - bfs: single-source BFS (plus the parallel CSR engine) on the
-//     generator workloads named by -workloads;
+//   - bfs: single-source BFS on the generator workloads named by
+//     -workloads;
 //   - components: components.SizeDistribution — one BFS per active
 //     temporal node, 64 per pass of the CSR lane sweep (core.LaneSweep)
 //     against one oracle search per root;
@@ -58,7 +58,7 @@
 // Usage:
 //
 //	egbench [-nodes 100000] [-stamps 10] [-edges 500000,1000000,...]
-//	        [-seed 2016] [-reps 3] [-parallel] [-workers N]
+//	        [-seed 2016] [-reps 3] [-workers N]
 //	        [-compare] [-suites bfs,components,influence,closeness,compact,csr,inc,recover]
 //	        [-workloads random,citation,gnp,pref]
 //	        [-suiteNodes 500] [-suiteEdges 5000,10000,20000,40000]
@@ -107,8 +107,7 @@ func main() {
 			"comma-separated |E~| sweep (paper: 1e8..5e8)")
 		seed          = flag.Int64("seed", 2016, "generator seed")
 		reps          = flag.Int("reps", 3, "timing repetitions per size (min is reported)")
-		parallel      = flag.Bool("parallel", false, "time the parallel BFS instead (Figure 5 mode)")
-		workers       = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		workers       = flag.Int("workers", 0, "with -compare: workers for the analytics fan-out and parallel builds (0 = GOMAXPROCS)")
 		compare       = flag.Bool("compare", false, "race the CSR/bitset engine against the adjacency-map oracle")
 		suites        = flag.String("suites", "bfs,components,influence,closeness", "comma-separated -compare suites: bfs, components, influence, closeness, compact, csr, inc, recover")
 		workloads     = flag.String("workloads", "random,citation", "comma-separated workloads for the bfs suite: random, citation, gnp, pref")
@@ -132,7 +131,7 @@ func main() {
 		for _, s := range strings.Split(*suites, ",") {
 			switch s = strings.TrimSpace(s); s {
 			case "bfs":
-				records = append(records, runCompare(*workloads, *nodes, *stamps, *edgeList, *seed, *reps, *workers)...)
+				records = append(records, runCompare(*workloads, *nodes, *stamps, *edgeList, *seed, *reps)...)
 			case "components", "influence", "closeness":
 				records = append(records, runAnalyticsSuite(s, *suiteNodes, *stamps, *suiteEdges, *seed, *reps, *workers)...)
 			case "compact":
@@ -150,7 +149,7 @@ func main() {
 		}
 	} else {
 		var err error
-		records, err = runFigure5(*nodes, *stamps, *edgeList, *seed, *reps, *parallel, *workers)
+		records, err = runFigure5(*nodes, *stamps, *edgeList, *seed, *reps)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "egbench: %v\n", err)
 			os.Exit(2)
@@ -215,21 +214,15 @@ func checkRegression(records []record, threshold float64) []string {
 }
 
 // runFigure5 is the paper's scaling experiment over the random workload.
-func runFigure5(nodes, stamps int, edgeList string, seed int64, reps int, parallel bool, workers int) ([]record, error) {
+func runFigure5(nodes, stamps int, edgeList string, seed int64, reps int) ([]record, error) {
 	counts, err := parseCounts(edgeList)
 	if err != nil {
 		return nil, err
 	}
 
-	engine := "csr"
-	if parallel {
-		engine = "csr-parallel"
-	}
+	const engine = "csr"
 	fmt.Printf("# Figure 5 harness: %d nodes, %d stamps, seed %d, %d reps (min reported), engine %s\n",
 		nodes, stamps, seed, reps, engine)
-	if parallel {
-		fmt.Printf("# parallel BFS, workers=%d\n", workers)
-	}
 	fmt.Printf("%14s %14s %14s %12s %14s\n", "|E~| requested", "|E~| built", "|E| unfolded", "time", "ns/|E~|")
 
 	series := evolving.RandomSeries(nodes, stamps, counts, true, seed)
@@ -238,8 +231,7 @@ func runFigure5(nodes, stamps int, edgeList string, seed int64, reps int, parall
 	ys := make([]float64, 0, len(series))
 	for i, g := range series {
 		root := evolving.TemporalNode{Node: int32(g.ActiveNodes(0).NextSet(0)), Stamp: 0}
-		var opts evolving.Options
-		best, reached, err := timeBFS(g, root, opts, parallel, workers, reps)
+		best, reached, err := timeBFS(g, root, evolving.Options{}, reps)
 		if err != nil {
 			return nil, fmt.Errorf("BFS: %v", err)
 		}
@@ -275,15 +267,15 @@ type namedGraph struct {
 	g    *evolving.Graph
 }
 
-// runCompare races adjacency-map, CSR and parallel-CSR engines on each
-// workload graph.
-func runCompare(workloads string, nodes, stamps int, edgeList string, seed int64, reps, workers int) []record {
+// runCompare races the adjacency-map and CSR engines on each workload
+// graph.
+func runCompare(workloads string, nodes, stamps int, edgeList string, seed int64, reps int) []record {
 	counts, err := parseCounts(edgeList)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "egbench: %v\n", err)
 		os.Exit(2)
 	}
-	fmt.Printf("# engine comparison: %d reps (min reported), workers=%d (0 = GOMAXPROCS)\n", reps, workers)
+	fmt.Printf("# engine comparison: %d reps (min reported)\n", reps)
 	fmt.Printf("%-24s %-14s %14s %14s %12s %10s\n", "graph", "engine", "|E~|", "reached", "time", "speedup")
 
 	var records []record
@@ -310,25 +302,20 @@ func runCompare(workloads string, nodes, stamps int, edgeList string, seed int64
 			built := g.StaticEdgeCount()
 			unfolded := g.EdgeCount(evolving.CausalAllPairs)
 
-			mapsBest, reached, err := timeBFS(g, root, evolving.Options{UseAdjacencyMaps: true}, false, 0, reps)
+			mapsBest, reached, err := timeBFS(g, root, evolving.Options{UseAdjacencyMaps: true}, reps)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "egbench: %s: %v\n", ng.name, err)
 				os.Exit(1)
 			}
-			csrBest, csrReached, err := timeBFS(g, root, evolving.Options{}, false, 0, reps)
+			csrBest, csrReached, err := timeBFS(g, root, evolving.Options{}, reps)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "egbench: %s: csr: %v\n", ng.name, err)
 				os.Exit(1)
 			}
-			parBest, parReached, err := timeBFS(g, root, evolving.Options{}, true, workers, reps)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "egbench: %s: csr-parallel: %v\n", ng.name, err)
-				os.Exit(1)
-			}
 			// The engines must agree before their times mean anything.
-			if csrReached != reached || parReached != reached {
-				fmt.Fprintf(os.Stderr, "egbench: %s: engines disagree: maps reached %d, csr %d, csr-parallel %d\n",
-					ng.name, reached, csrReached, parReached)
+			if csrReached != reached {
+				fmt.Fprintf(os.Stderr, "egbench: %s: engines disagree: maps reached %d, csr %d\n",
+					ng.name, reached, csrReached)
 				os.Exit(1)
 			}
 
@@ -345,7 +332,6 @@ func runCompare(workloads string, nodes, stamps int, edgeList string, seed int64
 			}
 			row("maps", mapsBest)
 			row("csr", csrBest)
-			row("csr-parallel", parBest)
 		}
 	}
 	return records
@@ -825,18 +811,12 @@ func buildWorkload(name string, nodes, stamps int, counts []int, seed int64) ([]
 // untimed warm-up run precedes the timed ones so one-time setup (the
 // lazily built CSR view, page faults on fresh arrays) charges neither
 // engine.
-func timeBFS(g *evolving.Graph, root evolving.TemporalNode, opts evolving.Options, parallel bool, workers, reps int) (time.Duration, int, error) {
+func timeBFS(g *evolving.Graph, root evolving.TemporalNode, opts evolving.Options, reps int) (time.Duration, int, error) {
 	best := time.Duration(math.MaxInt64)
 	reached := 0
 	for r := -1; r < reps; r++ {
 		start := time.Now()
-		var res *evolving.Result
-		var err error
-		if parallel {
-			res, err = evolving.ParallelBFS(g, root, evolving.ParallelOptions{Options: opts, Workers: workers})
-		} else {
-			res, err = evolving.BFS(g, root, opts)
-		}
+		res, err := evolving.BFS(g, root, opts)
 		if err != nil {
 			return 0, 0, err
 		}

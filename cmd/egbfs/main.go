@@ -5,7 +5,7 @@
 // Usage:
 //
 //	egbfs -graph g.txt -root 0@1 [-undirected] [-consecutive]
-//	      [-backward] [-parallel] [-workers N] [-maxdepth K] [-path v@t]
+//	      [-backward] [-maxdepth K] [-path v@t]
 //
 // The graph file holds one "u v t [w]" line per edge ('#' comments). The
 // root is node@timelabel. With -path, one shortest temporal path to the
@@ -30,8 +30,6 @@ func main() {
 		undirected  = flag.Bool("undirected", false, "treat edges as undirected")
 		consecutive = flag.Bool("consecutive", false, "consecutive-only causal edges (ablation; default all-pairs)")
 		backward    = flag.Bool("backward", false, "search backward in time (provenance)")
-		parallel    = flag.Bool("parallel", false, "use the parallel level-synchronous BFS")
-		workers     = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		maxDepth    = flag.Int("maxdepth", 0, "stop after this many levels (0 = unbounded)")
 		pathSpec    = flag.String("path", "", "print one shortest path to node@timelabel instead of the reached set")
 	)
@@ -65,12 +63,7 @@ func main() {
 		opts.Direction = evolving.Backward
 	}
 
-	var res *evolving.Result
-	if *parallel {
-		res, err = evolving.ParallelBFS(g, root, evolving.ParallelOptions{Options: opts, Workers: *workers})
-	} else {
-		res, err = evolving.BFS(g, root, opts)
-	}
+	res, err := evolving.BFS(g, root, opts)
 	if err != nil {
 		fail("BFS: %v", err)
 	}

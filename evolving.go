@@ -23,8 +23,8 @@
 //	fmt.Println(res.Dist(evolving.TemporalNode{Node: 2, Stamp: 2})) // 3
 //
 // The package re-exports the full library surface: graph construction
-// (Builder, generic labelled graphs), Algorithm 1 in sequential and
-// parallel form, the algebraic Algorithm 2 (ABFS) with the block
+// (Builder, generic labelled graphs), Algorithm 1 with its multi-source
+// and all-sources forms, the algebraic Algorithm 2 (ABFS) with the block
 // adjacency matrix and the deliberately incorrect Eq. 2 baselines,
 // temporal path enumeration and counting, workload generators, the
 // Sec. V citation-mining layer, related-work distance baselines, the
@@ -86,9 +86,6 @@ const (
 
 // Options configures a BFS run; the zero value is the paper's Algorithm 1.
 type Options = core.Options
-
-// ParallelOptions configures the level-synchronous parallel BFS.
-type ParallelOptions = core.ParallelOptions
 
 // Direction orients a search in time.
 type Direction = core.Direction
@@ -156,11 +153,6 @@ func NewLabeledGraph[N comparable](directed bool) *egraph.EvolvingGraph[N] {
 // BFS runs the paper's Algorithm 1 from root.
 func BFS(g *Graph, root TemporalNode, opts Options) (*Result, error) {
 	return core.BFS(g, root, opts)
-}
-
-// ParallelBFS is the level-synchronous parallel Algorithm 1.
-func ParallelBFS(g *Graph, root TemporalNode, opts ParallelOptions) (*Result, error) {
-	return core.ParallelBFS(g, root, opts)
 }
 
 // MultiSourceBFS searches from several roots at once.

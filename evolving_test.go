@@ -22,14 +22,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("BFS dist = %d, want 3", res.Dist(target))
 	}
 
-	par, err := evolving.ParallelBFS(g, root, evolving.ParallelOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Dist(target) != 3 {
-		t.Fatal("parallel BFS disagrees")
-	}
-
 	multi, err := evolving.MultiSourceBFS(g, []evolving.TemporalNode{root}, evolving.Options{})
 	if err != nil || multi.Dist(target) != 3 {
 		t.Fatal("multi-source BFS disagrees")

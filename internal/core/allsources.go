@@ -38,18 +38,6 @@ func AllSourcesBFS(g *egraph.IntEvolvingGraph, mode egraph.CausalMode, workers i
 	return out
 }
 
-// ParallelTemporalDiameter computes the temporal diameter with the
-// all-sources lane sweep.
-func ParallelTemporalDiameter(g *egraph.IntEvolvingGraph, mode egraph.CausalMode, workers int) int {
-	diam := 0
-	for _, st := range AllSourcesBFS(g, mode, workers) {
-		if st.Eccentricity > diam {
-			diam = st.Eccentricity
-		}
-	}
-	return diam
-}
-
 // EarliestArrival returns, for every node w, the earliest stamp index at
 // which information leaving root can reach w — the classic
 // earliest-arrival semantics of temporal reachability, derived from one

@@ -26,7 +26,7 @@ func TestAllSourcesBFSFigure1(t *testing.T) {
 	}
 }
 
-// Property: the parallel all-sources sweep agrees with per-source BFS
+// Property: the all-sources lane sweep agrees with per-source BFS
 // for any worker count, in unfolding order, with closeness within
 // rounding of the sum over reached nodes.
 func TestAllSourcesBFSMatchesSequential(t *testing.T) {
@@ -63,12 +63,26 @@ func TestAllSourcesBFSMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestParallelTemporalDiameterMatches(t *testing.T) {
+// Property: the diameter is the largest eccentricity of one BFS per
+// active root, in both causal modes.
+func TestTemporalDiameterMatchesBFS(t *testing.T) {
 	f := func(seed int64, directed bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, directed)
-		return ParallelTemporalDiameter(g, egraph.CausalAllPairs, 3) ==
-			TemporalDiameter(g, egraph.CausalAllPairs)
+		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+			want := 0
+			for _, root := range g.ActiveTemporalNodes() {
+				res, err := BFS(g, root, Options{Mode: mode})
+				if err != nil {
+					return false
+				}
+				want = max(want, res.MaxDist())
+			}
+			if TemporalDiameter(g, mode) != want {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package core implements the paper's primary contribution: breadth-first
 // search over evolving graphs (Algorithm 1 of Chen & Zhang 2016) and its
 // variants — backward (time-reversed) search, bounded-depth and
-// multi-source search, a level-synchronous parallel BFS, temporal-path
+// multi-source search, an all-sources lane sweep, temporal-path
 // enumeration and counting, and weighted temporal shortest paths.
 //
 // The search explores forward neighbours in both space and time: from an
@@ -287,6 +287,16 @@ func checkRoot(g *egraph.IntEvolvingGraph, root egraph.TemporalNode) error {
 	return nil
 }
 
+// checkTarget fails for a point-to-point target outside g. Without it,
+// TemporalNodeID would alias an out-of-range node to another stamp's id.
+func checkTarget(g *egraph.IntEvolvingGraph, to egraph.TemporalNode) error {
+	if !inGraph(g, to) {
+		return fmt.Errorf("core: target %v outside graph with %d nodes, %d stamps",
+			to, g.NumNodes(), g.NumStamps())
+	}
+	return nil
+}
+
 // inGraph reports whether tn names a temporal node of g, active or not.
 func inGraph(g *egraph.IntEvolvingGraph, tn egraph.TemporalNode) bool {
 	return tn.Node >= 0 && int(tn.Node) < g.NumNodes() &&
@@ -407,34 +417,24 @@ func MultiSourceBFS(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opt
 }
 
 // Reachable reports whether (w, s) is reachable from (v, t) (Def. 7),
-// i.e. a temporal path joins them. It early-exits as soon as the target
-// is claimed.
+// i.e. a temporal path joins them. Like BFS it fails for a `from` that
+// is inactive or outside g, and it fails for a `to` outside g; an
+// inactive `to` is unreachable. The search stops with the level that
+// reaches `to`.
 func Reachable(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode, mode egraph.CausalMode) (bool, error) {
 	if err := checkRoot(g, from); err != nil {
 		return false, err
 	}
-	if from == to {
-		return true, nil
+	if err := checkTarget(g, to); err != nil {
+		return false, err
 	}
-	size := g.NumNodes() * g.NumStamps()
-	seen := ds.NewBitSet(size)
-	seen.Set(g.TemporalNodeID(from))
-	q := ds.NewIntQueue(64)
-	q.Push(g.TemporalNodeID(from))
-	found := false
-	for !q.Empty() && !found {
-		tn := g.TemporalNodeFromID(q.Pop())
-		visitNeighbors(g, tn, mode, Forward, func(nb egraph.TemporalNode) bool {
-			if nb == to {
-				found = true
-				return false
-			}
-			id := g.TemporalNodeID(nb)
-			if !seen.TestAndSet(id) {
-				q.Push(id)
-			}
-			return true
-		})
+	if !g.IsActive(to.Node, to.Stamp) {
+		return false, nil // Def. 4: no temporal path ends at an inactive node
 	}
-	return found, nil
+	stop := int32(g.TemporalNodeID(to))
+	res, err := search(g, []egraph.TemporalNode{from}, Options{Mode: mode}, amortised, stop)
+	if err != nil {
+		return false, err
+	}
+	return res.dist[stop] >= 0, nil
 }

@@ -436,6 +436,32 @@ func TestReachable(t *testing.T) {
 	if _, err = Reachable(g, tn(2, 0), tn(0, 0), egraph.CausalAllPairs); err == nil {
 		t.Fatal("inactive source should fail")
 	}
+	ok, err = Reachable(g, tn(0, 0), tn(2, 0), egraph.CausalAllPairs)
+	if err != nil || ok {
+		t.Fatalf("inactive target: %v, %v; want false, nil", ok, err)
+	}
+}
+
+// Reachable stops at its target's level but must answer what a full
+// search reaches, for every target.
+func TestReachableMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 10; trial++ {
+		g := randomGraph(rng, trial%2 == 0)
+		root := firstActive(g)
+		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+			full, err := BFS(g, root, Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, to := range g.ActiveTemporalNodes() {
+				ok, err := Reachable(g, root, to, mode)
+				if err != nil || ok != full.Reached(to) {
+					t.Fatalf("trial %d %v %v→%v: Reachable %v, %v; BFS reached %v", trial, mode, root, to, ok, err, full.Reached(to))
+				}
+			}
+		}
+	}
 }
 
 // Causal-mode ablation: consecutive mode preserves reachability but can

@@ -1,101 +1,93 @@
 package core
 
-import (
-	"repro/internal/ds"
-	"repro/internal/egraph"
-)
+import "repro/internal/egraph"
 
 // Closure is the all-pairs temporal reachability relation: for every
-// active temporal node, the bitset of unfolded ids it reaches (itself
-// included). Rows are indexed by unfolded id; use Unfolding.IDOf /
-// Order to translate.
+// active temporal node, the set of active temporal nodes it reaches
+// (itself included). Rows and columns are indexed by rank in
+// g.ActiveTemporalNodes order, which is Unfolding.Order. Rows are held
+// 64 at a time as the lane masks of one LaneSweep batch: bit l of
+// masks[b·|V| + j] is set iff row 64b+l reaches column j.
 type Closure struct {
-	u    *egraph.Unfolding
-	rows []*ds.BitSet
+	g     *egraph.IntEvolvingGraph
+	rank  []int32 // by temporal id: rank in active order, -1 if inactive
+	masks []uint64
+	sizes []int // by rank: the row's reach set size
 }
 
 // TransitiveClosure computes Def. 7 reachability between every pair of
-// active temporal nodes. It walks the unfolded graph in reverse
-// topological-ish order (stamp-major from the latest stamp backwards,
-// which is a valid dependency order across stamps) and unions successor
-// rows; within-stamp cycles are handled by iterating until fixpoint per
-// stamp. Cost is O(|V|·|E|/64) word operations — fine for the analysis
-// scales (citation networks), not the Fig. 5 scale.
+// active temporal nodes with one LaneSweep from all of them: each
+// batch's final lane masks are its rows. Cost is one all-sources sweep
+// plus |V|²/64 words of masks — fine for the analysis scales (citation
+// networks), not the Fig. 5 scale.
 func TransitiveClosure(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) *Closure {
-	u := g.Unfold(mode)
-	n := u.Graph.NumNodes()
-	rows := make([]*ds.BitSet, n)
-	for i := range rows {
-		rows[i] = ds.NewBitSet(n)
-		rows[i].Set(i)
+	roots := g.ActiveTemporalNodes()
+	n := len(roots)
+	c := &Closure{
+		g:     g,
+		rank:  make([]int32, g.NumNodes()*g.NumStamps()),
+		masks: make([]uint64, (n+laneWidth-1)/laneWidth*n),
+		sizes: make([]int, n),
 	}
-	// Process ids in reverse (stamp-major order means all cross-stamp
-	// arcs point to larger... not necessarily larger id within a stamp,
-	// but always to a later-or-equal stamp). Iterate per stamp until
-	// stable to absorb within-stamp cycles.
-	stampStart := make(map[int32]int) // stamp -> first id
-	for id, tn := range u.Order {
-		if _, ok := stampStart[tn.Stamp]; !ok {
-			stampStart[tn.Stamp] = id
-		}
+	for i := range c.rank {
+		c.rank[i] = -1
 	}
-	for s := int32(g.NumStamps() - 1); s >= 0; s-- {
-		start, ok := stampStart[s]
-		if !ok {
-			continue
+	for i, root := range roots {
+		c.rank[g.TemporalNodeID(root)] = int32(i)
+	}
+	// Roots are active by construction, so the sweep cannot fail. Each
+	// batch writes only its own rows' masks and sizes.
+	_ = LaneSweep(g, roots, Options{Mode: mode}, 0, func(b *LaneBatch) {
+		rows := c.masks[b.First/laneWidth*n:][:n]
+		for _, id := range b.Reached() {
+			rows[c.rank[id]] = b.Mask(id)
 		}
-		end := n
-		for s2 := s + 1; s2 < int32(g.NumStamps()); s2++ {
-			if e, ok := stampStart[s2]; ok {
-				end = e
-				break
+		var levels []int
+		for l := 0; l < b.Lanes; l++ {
+			levels = b.LevelSizes(l, levels[:0])
+			for _, size := range levels {
+				c.sizes[b.First+l] += size
 			}
 		}
-		for changed := true; changed; {
-			changed = false
-			for id := end - 1; id >= start; id-- {
-				row := rows[id]
-				before := row.Count()
-				for _, w := range u.Graph.Neighbors(int32(id)) {
-					row.Or(rows[w])
-				}
-				if row.Count() != before {
-					changed = true
-				}
-			}
-		}
+	})
+	return c
+}
+
+// rankOf returns tn's rank in active order, or -1 if tn is inactive or
+// outside g.
+func (c *Closure) rankOf(tn egraph.TemporalNode) int32 {
+	if !inGraph(c.g, tn) {
+		return -1
 	}
-	return &Closure{u: u, rows: rows}
+	return c.rank[c.g.TemporalNodeID(tn)]
 }
 
 // Reaches reports whether a temporal path joins from to to. Inactive
-// endpoints are never reachable (and reach nothing but themselves being
-// absent entirely).
+// endpoints, and endpoints outside g, are never reachable.
 func (c *Closure) Reaches(from, to egraph.TemporalNode) bool {
-	fi := c.u.IDOf(from)
-	ti := c.u.IDOf(to)
+	fi, ti := c.rankOf(from), c.rankOf(to)
 	if fi < 0 || ti < 0 {
 		return false
 	}
-	return c.rows[fi].Get(int(ti))
+	return c.masks[int(fi)/laneWidth*len(c.sizes)+int(ti)]>>(fi%laneWidth)&1 != 0
 }
 
 // ReachSetSize returns |{w : from ⇝ w}| including from itself, or 0 for
-// inactive nodes.
+// a node that is inactive or outside g.
 func (c *Closure) ReachSetSize(from egraph.TemporalNode) int {
-	fi := c.u.IDOf(from)
+	fi := c.rankOf(from)
 	if fi < 0 {
 		return 0
 	}
-	return c.rows[fi].Count()
+	return c.sizes[fi]
 }
 
 // ReachablePairs returns the number of ordered pairs (a, b), a ≠ b, with
 // a ⇝ b — a global temporal-connectivity index.
 func (c *Closure) ReachablePairs() int {
 	total := 0
-	for _, row := range c.rows {
-		total += row.Count() - 1 // exclude self
+	for _, size := range c.sizes {
+		total += size - 1 // exclude self
 	}
 	return total
 }
@@ -113,14 +105,12 @@ func Eccentricity(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, mode egr
 }
 
 // TemporalDiameter returns the largest finite temporal distance between
-// any ordered pair of active temporal nodes (one BFS per active node).
+// any ordered pair of active temporal nodes: the largest eccentricity
+// AllSourcesBFS finds.
 func TemporalDiameter(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) int {
-	u := g.Unfold(mode)
 	diam := 0
-	for _, root := range u.Order {
-		if e := Eccentricity(g, root, mode); e > diam {
-			diam = e
-		}
+	for _, st := range AllSourcesBFS(g, mode, 0) {
+		diam = max(diam, st.Eccentricity)
 	}
 	return diam
 }

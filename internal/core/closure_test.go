@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/egraph"
+	"repro/internal/gen"
 )
 
 func TestTransitiveClosureFigure1(t *testing.T) {
@@ -63,6 +64,37 @@ func TestTransitiveClosureMatchesBFS(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The closure's rows are written from concurrent LaneSweep callbacks,
+// one batch of 64 roots each: on a graph with several batches, every
+// row must still agree with one BFS from its root.
+func TestTransitiveClosureManyBatches(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		g := gen.Random(gen.RandomConfig{Nodes: 120, Stamps: 4, Edges: 500, Directed: directed, Seed: 5})
+		active := g.ActiveTemporalNodes()
+		if len(active) <= 2*laneWidth {
+			t.Fatalf("%d active temporal nodes, want more than %d", len(active), 2*laneWidth)
+		}
+		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+			c := TransitiveClosure(g, mode)
+			for _, root := range active {
+				res, err := BFS(g, root, Options{Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := c.ReachSetSize(root), res.NumReached(); got != want {
+					t.Fatalf("directed=%v %v: ReachSetSize(%v) = %d, BFS reached %d", directed, mode, root, got, want)
+				}
+				for _, to := range active {
+					if c.Reaches(root, to) != res.Reached(to) {
+						t.Fatalf("directed=%v %v: Reaches(%v, %v) = %v, BFS says %v",
+							directed, mode, root, to, c.Reaches(root, to), res.Reached(to))
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"repro/internal/ds"
@@ -293,98 +292,4 @@ func bitmapLevel(csr *egraph.CSR, f *ds.Frontier, dist []int32, k int32, rule le
 		}
 	}
 	return work + to - from
-}
-
-// runParallelCSR is the level-synchronous parallel expansion over the
-// CSR view: each level's frontier is partitioned into contiguous ranges,
-// one per worker; workers claim discoveries through an atomic bitset
-// (exactly one claimant per temporal node) into per-worker buffers that
-// concatenate into the next frontier at the level barrier. Distances and
-// level sizes are identical to the sequential engines; parent choice
-// within a level may differ.
-func runParallelCSR(g *egraph.IntEvolvingGraph, r *Result, rootID int, opts ParallelOptions) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	csr := g.CSR()
-	n := int32(csr.N)
-	useOut := (opts.Direction == Forward) != opts.ReverseEdges
-	forward := opts.Direction == Forward
-	consecutive := opts.Mode == egraph.CausalConsecutive
-	dist, parent := r.dist, r.parent
-
-	visited := ds.NewAtomicBitSet(csr.Size())
-	visited.Set(rootID)
-	frontier := []int32{int32(rootID)}
-	buffers := make([][]int32, workers)
-
-	k := int32(1)
-	for len(frontier) > 0 {
-		if opts.MaxDepth > 0 && int(k) > opts.MaxDepth {
-			break
-		}
-		chunk := (len(frontier) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= len(frontier) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			wg.Add(1)
-			go func(w int, part []int32) {
-				defer wg.Done()
-				buf := buffers[w][:0]
-				claim := func(nb, id int32) {
-					if !visited.TestAndSet(int(nb)) {
-						// Exclusive claim: the stores below race with
-						// no other writer.
-						dist[nb] = k
-						if parent != nil {
-							parent[nb] = id
-						}
-						buf = append(buf, nb)
-					}
-				}
-				for _, id := range part {
-					var arcs []int32
-					if useOut {
-						arcs = csr.OutAdj[csr.OutPtr[id]:csr.OutPtr[id+1]]
-					} else {
-						arcs = csr.InAdj[csr.InPtr[id]:csr.InPtr[id+1]]
-					}
-					for _, nb := range arcs {
-						claim(nb, id)
-					}
-					stamps, v := csr.CausalArcs(id, forward, consecutive)
-					// No causal cutoff here: another worker may be
-					// writing dist[nb] after its claim, so reading it
-					// would race.
-					for _, s := range stamps {
-						claim(s*n+v, id)
-					}
-				}
-				buffers[w] = buf
-			}(w, frontier[lo:hi])
-		}
-		wg.Wait()
-
-		frontier = frontier[:0]
-		for w := range buffers {
-			frontier = append(frontier, buffers[w]...)
-			// Reset every buffer, including those of idle workers: a
-			// worker with no slice of the next level must not leak this
-			// level's nodes back into the frontier.
-			buffers[w] = buffers[w][:0]
-		}
-		if len(frontier) > 0 {
-			r.levels = append(r.levels, len(frontier))
-			r.reached += len(frontier)
-		}
-		k++
-	}
 }

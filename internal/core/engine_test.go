@@ -182,62 +182,6 @@ func TestCSREngineMultiSourceMatchesOracle(t *testing.T) {
 	}
 }
 
-// The parallel CSR engine guarantees identical distances (parents may
-// differ by claim order) against both sequential engines.
-func TestParallelCSRMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(rng, trial%2 == 0)
-		root := firstActive(g)
-		for _, base := range optionMatrix(false) {
-			oracle := base
-			oracle.UseAdjacencyMaps = true
-			want, err := BFS(g, root, oracle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				// Both the CSR engine and the adjacency-map parallel
-				// oracle must reproduce the sequential distances.
-				for _, useMaps := range []bool{false, true} {
-					popts := base
-					popts.UseAdjacencyMaps = useMaps
-					got, err := ParallelBFS(g, root, ParallelOptions{Options: popts, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("trial %d workers %d maps=%v %+v", trial, workers, useMaps, base)
-					assertSameDistances(t, label, got, want)
-				}
-			}
-		}
-	}
-}
-
-// Parallel CSR parents, when tracked, must form a valid BFS tree: every
-// non-root reached node's parent sits exactly one level closer.
-func TestParallelCSRParentsValid(t *testing.T) {
-	g := gen.Random(gen.RandomConfig{Nodes: 200, Stamps: 5, Edges: 1500, Directed: true, Seed: 9})
-	root := firstActive(g)
-	res, err := ParallelBFS(g, root, ParallelOptions{Options: Options{TrackParents: true}, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rootID := g.TemporalNodeID(root)
-	for id, d := range res.dist {
-		if d < 0 || id == rootID {
-			continue
-		}
-		p := res.parent[id]
-		if p < 0 {
-			t.Fatalf("reached node %d has no parent", id)
-		}
-		if res.dist[p] != d-1 {
-			t.Fatalf("parent of %d at dist %d has dist %d", id, d, res.dist[p])
-		}
-	}
-}
-
 // causalWork is the causal part of an unbounded list-level search's
 // work: its work less the static arcs out of every node it reached, each
 // of which it expanded.

@@ -68,9 +68,13 @@ func (p TemporalPath) IsValid(g *egraph.IntEvolvingGraph, mode egraph.CausalMode
 // small graphs). Paths are discovered by DFS over forward neighbours;
 // a node may not repeat within one path. The result for the Fig. 1 graph
 // from (1,t1) to (3,t3) is exactly the two length-4 paths of Fig. 2.
+// It fails for a `to` that is inactive or outside g.
 func EnumeratePaths(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode,
 	mode egraph.CausalMode, maxHops int) ([]TemporalPath, error) {
 	if err := checkRoot(g, from); err != nil {
+		return nil, err
+	}
+	if err := checkTarget(g, to); err != nil {
 		return nil, err
 	}
 	if !g.IsActive(to.Node, to.Stamp) {
@@ -104,10 +108,13 @@ func EnumeratePaths(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode,
 // CountWalks returns the number of temporal walks with exactly k hops
 // from `from` to `to` — the quantity the algebraic iterate (A_nᵀ)^k b
 // counts (Sec. III-C: (A3ᵀ)³e1 holds 2 in the (3,t3) slot). On acyclic
-// snapshots walks and paths coincide.
+// snapshots walks and paths coincide. It fails for a `to` outside g.
 func CountWalks(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode,
 	mode egraph.CausalMode, k int) (int64, error) {
 	if err := checkRoot(g, from); err != nil {
+		return 0, err
+	}
+	if err := checkTarget(g, to); err != nil {
 		return 0, err
 	}
 	if k < 0 {
@@ -147,9 +154,8 @@ func ShortestPath(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode,
 	if err := checkRoot(g, from); err != nil {
 		return nil, err
 	}
-	if !inGraph(g, to) {
-		return nil, fmt.Errorf("core: path target %v outside graph with %d nodes, %d stamps",
-			to, g.NumNodes(), g.NumStamps())
+	if err := checkTarget(g, to); err != nil {
+		return nil, err
 	}
 	if !g.IsActive(to.Node, to.Stamp) {
 		return nil, nil // Def. 4: no temporal path ends at an inactive node

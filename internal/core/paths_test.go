@@ -286,14 +286,51 @@ func TestTemporalPathString(t *testing.T) {
 
 // A target outside the graph is an error, not an alias: TemporalNodeID
 // is stamp·N + node, so (5,t2) on the 3-node Figure 1 graph would
-// otherwise name (2,t3). An in-range inactive target has no path.
-func TestShortestPathTargetChecks(t *testing.T) {
+// otherwise name (2,t3). Every point-to-point entry rejects one, and a
+// closure answers false and 0 for one.
+func TestTargetsOutsideGraph(t *testing.T) {
 	g := egraph.Figure1Graph()
-	for _, to := range []egraph.TemporalNode{tn(5, 1), tn(-1, 0), tn(0, 3), tn(0, -1)} {
-		if p, err := ShortestPath(g, tn(0, 0), to, egraph.CausalAllPairs); err == nil {
-			t.Fatalf("target %v outside the graph: path %v, no error", to, p)
+	from := tn(0, 0)
+	c := TransitiveClosure(g, egraph.CausalAllPairs)
+	entries := []struct {
+		name string
+		call func(to egraph.TemporalNode) error
+	}{
+		{"ShortestPath", func(to egraph.TemporalNode) error {
+			_, err := ShortestPath(g, from, to, egraph.CausalAllPairs)
+			return err
+		}},
+		{"Reachable", func(to egraph.TemporalNode) error {
+			_, err := Reachable(g, from, to, egraph.CausalAllPairs)
+			return err
+		}},
+		{"CountWalks", func(to egraph.TemporalNode) error {
+			_, err := CountWalks(g, from, to, egraph.CausalAllPairs, 3)
+			return err
+		}},
+		{"EnumeratePaths", func(to egraph.TemporalNode) error {
+			_, err := EnumeratePaths(g, from, to, egraph.CausalAllPairs, 0)
+			return err
+		}},
+	}
+	for _, to := range []egraph.TemporalNode{tn(5, 1), tn(3, 0), tn(-1, 0), tn(0, 3), tn(0, -1)} {
+		for _, e := range entries {
+			if err := e.call(to); err == nil {
+				t.Errorf("%s: target %v outside the graph, no error", e.name, to)
+			}
+		}
+		if c.Reaches(from, to) || c.Reaches(to, from) {
+			t.Errorf("Closure.Reaches: %v outside the graph is reachable", to)
+		}
+		if n := c.ReachSetSize(to); n != 0 {
+			t.Errorf("Closure.ReachSetSize(%v) = %d outside the graph, want 0", to, n)
 		}
 	}
+}
+
+// An in-range inactive target has no path.
+func TestShortestPathTargetChecks(t *testing.T) {
+	g := egraph.Figure1Graph()
 	p, err := ShortestPath(g, tn(0, 0), tn(2, 0), egraph.CausalAllPairs)
 	if err != nil || p != nil {
 		t.Fatalf("inactive target: path %v, err %v; want nil, nil", p, err)

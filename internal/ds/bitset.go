@@ -1,10 +1,9 @@
 // Package ds provides the low-level data structures shared by the
-// evolving-graph traversal code: bitsets (plain and atomic), reusable
-// BFS frontier scratch, ring-buffer queues, sparse sets, binary heaps
-// and union-find. Everything is allocation-conscious; these types sit
-// on the hot path of every BFS in the repository — the CSR/bitset
-// engine (DESIGN.md §8) runs entirely on BitSet, AtomicBitSet and
-// Frontier.
+// evolving-graph traversal code: bitsets, reusable BFS frontier
+// scratch, ring-buffer queues, sparse sets, binary heaps and
+// union-find. Everything is allocation-conscious; these types sit on
+// the hot path of every BFS in the repository — the CSR/bitset engine
+// (DESIGN.md §8) runs entirely on BitSet and Frontier.
 package ds
 
 import (

@@ -5,7 +5,6 @@
 package evolving
 
 import (
-	"repro/internal/core"
 	"repro/internal/dynadj"
 	"repro/internal/influence"
 	"repro/internal/sketch"
@@ -113,12 +112,4 @@ type ProfileEntry = temporal.ProfileEntry
 // departure stamp of src (the temporal profile problem).
 func ArrivalProfile(g *Graph, src, dst int32, mode CausalMode) ([]ProfileEntry, error) {
 	return temporal.ArrivalProfile(g, src, dst, mode)
-}
-
-// BidirectionalShortestPath answers a point-to-point shortest-path query
-// by growing forward and backward searches toward each other — far
-// cheaper than a full BFS when both endpoints are known. ok is false
-// when `to` is unreachable from `from` (including inactive endpoints).
-func BidirectionalShortestPath(g *Graph, from, to TemporalNode, mode CausalMode) (path TemporalPath, ok bool, err error) {
-	return core.BidirectionalShortestPath(g, from, to, mode)
 }
