@@ -1,14 +1,12 @@
-// Windowed views, temporal motif counting, journalled persistence for
-// the dynamic store, and the HTTP query handler — the analytics and
-// service layer over the core library (DESIGN.md §7).
+// Windowed views, temporal motif counting, and the HTTP query handler
+// — the analytics and service layer over the core library (DESIGN.md
+// §7).
 
 package evolving
 
 import (
-	"io"
 	"net/http"
 
-	"repro/internal/dynadj"
 	"repro/internal/feed"
 	"repro/internal/motif"
 	"repro/internal/server"
@@ -50,25 +48,6 @@ func CountTriangleMotifs(g *Graph, delta int) (MotifCounts3, error) {
 // MotifProfile runs the 2-edge census for every delta in 1..maxDelta.
 func MotifProfile(g *Graph, maxDelta int) ([]MotifCounts2, error) {
 	return motif.Profile(g, maxDelta)
-}
-
-// LoggedStore pairs a DynamicStore with a write-ahead journal: every
-// batch is logged before it is applied.
-type LoggedStore = dynadj.Logged
-
-// ErrTruncatedJournal reports a torn journal tail; the store returned
-// with it holds every batch before the damage.
-var ErrTruncatedJournal = dynadj.ErrTruncatedJournal
-
-// NewLoggedStore creates a journalled dynamic store writing its log to w.
-func NewLoggedStore(w io.Writer, numNodes int, times []int64, directed bool) (*LoggedStore, error) {
-	return dynadj.NewLogged(w, numNodes, times, directed)
-}
-
-// ReplayJournal reconstructs a dynamic store from a journal, recovering
-// the longest clean prefix of batches on a torn tail.
-func ReplayJournal(r io.Reader) (store *DynamicStore, batches int, err error) {
-	return dynadj.Replay(r)
 }
 
 // HTTPHandler serves g as a JSON query API with default configuration:

@@ -1,12 +1,10 @@
-// Benchmarks for the extension layer: temporal-path criteria, the
-// dynamic adjacency store, reachability sketches, and greedy influence
-// maximization (DESIGN.md §7).
+// Benchmarks for the extension layer: temporal-path criteria,
+// reachability sketches, and greedy influence maximization (DESIGN.md
+// §7).
 package evolving_test
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	evolving "repro"
@@ -53,84 +51,6 @@ func BenchmarkPathCriteria(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			if _, err := evolving.Fastest(g, src, dst, evolving.CausalAllPairs); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkDynamicStoreApply measures batched update throughput of the
-// copy-on-write store at several batch sizes: bigger batches amortise
-// version creation and per-block rebuilds.
-func BenchmarkDynamicStoreApply(b *testing.B) {
-	const nodes, stamps = 10_000, 10
-	times := make([]int64, stamps)
-	for i := range times {
-		times[i] = int64(i + 1)
-	}
-	for _, batchSize := range []int{1, 64, 1024} {
-		b.Run(fmt.Sprintf("batch=%d", batchSize), func(b *testing.B) {
-			store, err := evolving.NewDynamicStore(nodes, times, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(7))
-			batch := make([]evolving.Update, batchSize)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				for i := range batch {
-					u := int32(rng.Intn(nodes))
-					v := int32(rng.Intn(nodes))
-					if u == v {
-						v = (v + 1) % nodes
-					}
-					batch[i] = evolving.Update{U: u, V: v, T: int32(rng.Intn(stamps)), Op: evolving.Insert}
-				}
-				if _, err := store.Apply(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "updates/s")
-		})
-	}
-}
-
-// BenchmarkDynamicSnapshotFreeze measures the read path: taking a
-// snapshot is a pointer load; freezing materialises an IntEvolvingGraph.
-func BenchmarkDynamicSnapshotFreeze(b *testing.B) {
-	const nodes, stamps = 5_000, 8
-	times := make([]int64, stamps)
-	for i := range times {
-		times[i] = int64(i + 1)
-	}
-	store, err := evolving.NewDynamicStore(nodes, times, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	var batch []evolving.Update
-	for len(batch) < 40_000 {
-		u := int32(rng.Intn(nodes))
-		v := int32(rng.Intn(nodes))
-		if u == v {
-			continue
-		}
-		batch = append(batch, evolving.Update{U: u, V: v, T: int32(rng.Intn(stamps)), Op: evolving.Insert})
-	}
-	if _, err := store.Apply(batch); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("snapshot", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			if store.Snapshot().Seq() != 1 {
-				b.Fatal("unexpected version")
-			}
-		}
-	})
-	b.Run("freeze", func(b *testing.B) {
-		view := store.Snapshot()
-		for n := 0; n < b.N; n++ {
-			if g := view.Freeze(); g.NumNodes() == 0 {
-				b.Fatal("empty freeze")
 			}
 		}
 	})
@@ -227,43 +147,4 @@ func BenchmarkWindowRoll(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkJournalReplay measures write-ahead logging overhead and
-// recovery speed.
-func BenchmarkJournalReplay(b *testing.B) {
-	const nodes, stamps, batches = 5_000, 8, 200
-	times := make([]int64, stamps)
-	for i := range times {
-		times[i] = int64(i + 1)
-	}
-	rng := rand.New(rand.NewSource(3))
-	var log bytes.Buffer
-	logged, err := evolving.NewLoggedStore(&log, nodes, times, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < batches; i++ {
-		batch := make([]evolving.Update, 64)
-		for j := range batch {
-			u := int32(rng.Intn(nodes))
-			v := int32(rng.Intn(nodes))
-			if u == v {
-				v = (v + 1) % nodes
-			}
-			batch[j] = evolving.Update{U: u, V: v, T: int32(rng.Intn(stamps)), Op: evolving.Insert}
-		}
-		if _, err := logged.Apply(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	blob := log.Bytes()
-	b.Run("replay", func(b *testing.B) {
-		b.SetBytes(int64(len(blob)))
-		for n := 0; n < b.N; n++ {
-			if _, got, err := evolving.ReplayJournal(bytes.NewReader(blob)); err != nil || got != batches {
-				b.Fatalf("replay: %d batches, %v", got, err)
-			}
-		}
-	})
 }

@@ -135,61 +135,6 @@ func BenchmarkCausalModes(b *testing.B) {
 	})
 }
 
-// BenchmarkIncrementalVsRecompute compares maintaining the BFS while
-// streaming edges (incremental repair) against recomputing Algorithm 1
-// from scratch at every stamp boundary — the trade-off motivating
-// incremental evolving-graph processing (ref. [2]).
-func BenchmarkIncrementalVsRecompute(b *testing.B) {
-	const (
-		nodes  = 2_000
-		stamps = 10
-		edges  = 40_000
-		seed   = 5
-	)
-	src := evolving.Random(evolving.RandomConfig{
-		Nodes: nodes, Stamps: stamps, Edges: edges, Directed: true, Seed: seed,
-	})
-	rootNode := int32(src.ActiveNodes(0).NextSet(0))
-	rootLabel := src.TimeLabel(0)
-
-	b.Run("incremental-maintenance", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			d := evolving.NewDynamicGraph(true)
-			ib := evolving.NewIncrementalBFS(d, rootNode, rootLabel)
-			for t := 0; t < src.NumStamps(); t++ {
-				src.VisitEdges(int32(t), func(u, v int32, _ float64) bool {
-					_ = d.AddEdge(u, v, src.TimeLabel(t))
-					return true
-				})
-			}
-			if ib.NumReached() == 0 {
-				b.Fatal("incremental BFS reached nothing")
-			}
-		}
-	})
-	b.Run("recompute-per-stamp", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			d := evolving.NewDynamicGraph(true)
-			var last int
-			for t := 0; t < src.NumStamps(); t++ {
-				src.VisitEdges(int32(t), func(u, v int32, _ float64) bool {
-					_ = d.AddEdge(u, v, src.TimeLabel(t))
-					return true
-				})
-				g := d.Snapshot()
-				res, err := evolving.BFS(g, evolving.TemporalNode{Node: rootNode, Stamp: 0}, evolving.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.NumReached()
-			}
-			if last == 0 {
-				b.Fatal("batch BFS reached nothing")
-			}
-		}
-	})
-}
-
 // BenchmarkPathEnumerationFig2 micro-benchmarks the Figure 2 enumeration
 // (the two temporal paths of the running example).
 func BenchmarkPathEnumerationFig2(b *testing.B) {

@@ -28,7 +28,7 @@
 // adjacency matrix and the deliberately incorrect Eq. 2 baselines,
 // temporal path enumeration and counting, workload generators, the
 // Sec. V citation-mining layer, related-work distance baselines, the
-// incremental edge-stream substrate, and serialization. See the
+// ingest event log that changes a graph, and serialization. See the
 // subdirectories of internal/ for implementation detail and DESIGN.md
 // for the paper-to-module map.
 //
@@ -59,7 +59,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rank"
 	"repro/internal/reachindex"
-	"repro/internal/stream"
 )
 
 // Graph is an immutable evolving graph over dense int node ids; build one
@@ -453,21 +452,6 @@ func EvolvingPageRank(g *Graph, opts PageRankOptions) (*PageRankResult, error) {
 // via the block matrix kernel; scores are indexed by temporal-node id.
 func TemporalKatz(g *Graph, opts KatzOptions) ([]float64, error) {
 	return rank.TemporalKatz(g, opts)
-}
-
-// Streaming substrate.
-type (
-	DynamicGraph   = stream.Dynamic
-	IncrementalBFS = stream.IncrementalBFS
-)
-
-// NewDynamicGraph returns an append-only evolving graph.
-func NewDynamicGraph(directed bool) *DynamicGraph { return stream.NewDynamic(directed) }
-
-// NewIncrementalBFS maintains BFS distances from (rootNode, rootLabel) as
-// edges stream into d.
-func NewIncrementalBFS(d *DynamicGraph, rootNode int32, rootLabel int64) *IncrementalBFS {
-	return stream.NewIncrementalBFS(d, rootNode, rootLabel)
 }
 
 // Serialization.

@@ -47,40 +47,27 @@ func ExampleForemost() {
 	// node 3: earliest arrival at time 2
 }
 
-// A dynamic store mutates under snapshot isolation: a pinned view never
-// changes, later snapshots see the updates.
-func ExampleDynamicStore() {
-	store, err := evolving.NewDynamicStore(3, []int64{1, 2, 3}, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := store.Apply([]evolving.Update{
-		{U: 0, V: 1, T: 0, Op: evolving.Insert},
-		{U: 0, V: 2, T: 1, Op: evolving.Insert},
-		{U: 1, V: 2, T: 2, Op: evolving.Insert},
-	}); err != nil {
-		log.Fatal(err)
-	}
-	pinned := store.Snapshot()
-	if _, err := store.Apply([]evolving.Update{
-		{U: 0, V: 1, T: 0, Op: evolving.Delete},
-	}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("pinned edges:", pinned.NumEdges())
-	fmt.Println("current edges:", store.Snapshot().NumEdges())
+// Changing a graph offline: fold an insertion and a deletion onto the
+// Fig. 1 graph. The base is immutable, so it keeps its three edges; the
+// fold returns a new graph, which searches like any other.
+func ExampleFoldEvents() {
+	base := evolving.Figure1Graph()
+	g := evolving.FoldEvents(base, []evolving.IngestEvent{
+		{Op: evolving.IngestAddArc, U: 2, V: 0, T: 4},    // 3→1 at t4
+		{Op: evolving.IngestRemoveArc, U: 0, V: 1, T: 1}, // drop 1→2 at t1
+	})
+	fmt.Println("base edges:", base.StaticEdgeCount(), "labels:", base.TimeLabels())
+	fmt.Println("folded edges:", g.StaticEdgeCount(), "labels:", g.TimeLabels())
 
-	// The pinned snapshot freezes into the Fig. 1 graph.
-	g := pinned.Freeze()
 	res, err := evolving.BFS(g, evolving.TemporalNode{Node: 0, Stamp: 0}, evolving.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("reached from (1,t1):", res.NumReached())
+	fmt.Println("reached from (1,t2):", res.NumReached())
 	// Output:
-	// pinned edges: 3
-	// current edges: 2
-	// reached from (1,t1): 6
+	// base edges: 3 labels: [1 2 3]
+	// folded edges: 3 labels: [2 3 4]
+	// reached from (1,t2): 5
 }
 
 // Greedy influence maximization on the Fig. 1 graph: node 1 alone

@@ -92,17 +92,6 @@ func ExampleNewLabeledGraph() {
 	// temporal nodes influenced: 4
 }
 
-// Streaming edges while maintaining BFS distances incrementally.
-func ExampleNewIncrementalBFS() {
-	d := evolving.NewDynamicGraph(true)
-	ib := evolving.NewIncrementalBFS(d, 0, 1)
-	_ = d.AddEdge(0, 1, 1)
-	_ = d.AddEdge(1, 2, 2)
-	fmt.Println(ib.Dist(2, 2))
-	// Output:
-	// 3
-}
-
 // Exporting the Fig. 1 graph for Graphviz.
 func ExampleWriteDOT() {
 	g := evolving.Figure1Graph()

@@ -239,11 +239,11 @@ func (g *IntEvolvingGraph) EdgeCount(mode CausalMode) int {
 }
 
 // HasEdge reports whether the static edge u→v exists at stamp t
-// (either direction for undirected graphs). Out-of-range endpoints or
-// stamps answer false — callers resolving stamps from labels (e.g.
-// after an ingest fold dropped an emptied stamp, StampOf returns -1)
-// get a definitive "no" rather than a panic, matching dynadj's
-// View.HasEdge contract.
+// (either direction for undirected graphs). It never panics: any
+// endpoint or stamp the graph does not hold, negative ones included,
+// answers false — callers resolving stamps from labels (e.g. after an
+// ingest fold dropped an emptied stamp, StampOf returns -1) get a
+// definitive "no".
 func (g *IntEvolvingGraph) HasEdge(u, v, t int32) bool {
 	if u < 0 || int(u) >= g.numNodes || v < 0 || int(v) >= g.numNodes ||
 		t < 0 || int(t) >= len(g.snaps) {

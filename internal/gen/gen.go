@@ -148,20 +148,6 @@ func PreferentialAttachment(n, stamps, m int, seed int64) *egraph.IntEvolvingGra
 	return b.Build()
 }
 
-// Stream generates a deterministic sequence of random timed edges with
-// non-decreasing stamps, the input shape of internal/stream.
-func Stream(nodes, stamps, edges int, seed int64) []TimedEdge {
-	validate(nodes, stamps, edges)
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]TimedEdge, edges)
-	for i := range out {
-		out[i] = randomEdge(rng, nodes, stamps)
-	}
-	// Non-decreasing time order.
-	sortEdgesByTime(out)
-	return out
-}
-
 func randomEdge(rng *rand.Rand, nodes, stamps int) TimedEdge {
 	u := int32(rng.Intn(nodes))
 	v := int32(rng.Intn(nodes))
@@ -174,26 +160,5 @@ func randomEdge(rng *rand.Rand, nodes, stamps int) TimedEdge {
 func validate(nodes, stamps, edges int) {
 	if nodes < 2 || stamps < 1 || edges < 0 {
 		panic(fmt.Sprintf("gen: bad parameters nodes=%d stamps=%d edges=%d", nodes, stamps, edges))
-	}
-}
-
-func sortEdgesByTime(edges []TimedEdge) {
-	// Counting sort on the (small) stamp space keeps generation O(E).
-	var maxT int64
-	for _, e := range edges {
-		if e.T > maxT {
-			maxT = e.T
-		}
-	}
-	buckets := make([][]TimedEdge, maxT+1)
-	for _, e := range edges {
-		buckets[e.T] = append(buckets[e.T], e)
-	}
-	i := 0
-	for _, bkt := range buckets {
-		for _, e := range bkt {
-			edges[i] = e
-			i++
-		}
 	}
 }

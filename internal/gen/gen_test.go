@@ -135,29 +135,6 @@ func TestPreferentialAttachment(t *testing.T) {
 	}
 }
 
-func TestStreamSortedByTime(t *testing.T) {
-	es := Stream(40, 6, 300, 11)
-	if len(es) != 300 {
-		t.Fatalf("len = %d, want 300", len(es))
-	}
-	for i := 1; i < len(es); i++ {
-		if es[i].T < es[i-1].T {
-			t.Fatal("stream not sorted by time")
-		}
-	}
-	for _, e := range es {
-		if e.U == e.V {
-			t.Fatal("stream contains self-loop")
-		}
-		if e.U < 0 || e.U >= 40 || e.V < 0 || e.V >= 40 {
-			t.Fatal("node id out of range")
-		}
-		if e.T < 1 || e.T > 6 {
-			t.Fatal("stamp out of range")
-		}
-	}
-}
-
 func TestCitationNetwork(t *testing.T) {
 	cfg := DefaultCitationConfig()
 	g, firstPub := Citation(cfg)

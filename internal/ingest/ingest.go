@@ -13,7 +13,7 @@
 //     the served graph.
 //   - WAL is the durability layer: length-prefixed, CRC32-checksummed
 //     binary records (the same framing discipline as the egio binary
-//     format and the dynadj journal) appended through a buffered
+//     format) appended through a buffered
 //     group-commit writer with a configurable fsync policy. Replay
 //     recovers the event stream and stops cleanly at the first torn
 //     record, so a crash mid-append loses at most the batch being

@@ -16,8 +16,8 @@ import (
 )
 
 // WAL file format — the same length-prefix + CRC framing discipline as
-// the egio binary format and the dynadj journal, versioned separately
-// because the record payload is an event stream, not a graph:
+// the egio binary format, versioned separately because the record
+// payload is an event stream, not a graph:
 //
 //	header  magic "EVWL" | version u8 | reserved u8
 //	record  u32 payload length | u32 CRC32-IEEE(payload) | payload

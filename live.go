@@ -91,7 +91,13 @@ func OpenWAL(path string, opts WALOptions) (*WAL, *WALRecovery, error) {
 // resulting immutable graph from scratch — the full-rebuild fold,
 // exposed for recovery and offline compaction, and the differential
 // oracle of the incremental PatchEvents path
-// (IngestConfig.UseFullRebuild).
+// (IngestConfig.UseFullRebuild). FoldEvents is the offline way to
+// change a graph: base is never mutated.
+//
+// The events must be ones IngestLog.Append accepts (node ids in
+// [0, MaxNodeID], no self-loops, AddArc/RemoveArc/AddStamp ops), as
+// every event recovered from a WAL is. FoldEvents does not validate
+// them again: a negative node id panics.
 func FoldEvents(base *Graph, events []IngestEvent) *Graph {
 	return ingest.Fold(base, events)
 }
@@ -100,7 +106,8 @@ func FoldEvents(base *Graph, events []IngestEvent) *Graph {
 // only stamps the delta touches are rebuilt, everything else is shared
 // with base by reference (DESIGN.md §12). Semantically equivalent to
 // FoldEvents at delta-proportional cost; the live epoch compactor uses
-// this path by default.
+// this path by default. It expects the same validated events as
+// FoldEvents and likewise panics on a negative node id.
 func PatchEvents(base *Graph, events []IngestEvent) *Graph {
 	return ingest.Patch(base, events)
 }

@@ -1,11 +1,10 @@
-// Temporal-path optimality criteria, the dynamic adjacency store,
-// reachability sketches, and influence maximization — the extension
-// layer built on top of the paper's Algorithm 1 (see DESIGN.md §7).
+// Temporal-path optimality criteria, reachability sketches, and
+// influence maximization — the extension layer built on top of the
+// paper's Algorithm 1 (see DESIGN.md §7).
 
 package evolving
 
 import (
-	"repro/internal/dynadj"
 	"repro/internal/influence"
 	"repro/internal/sketch"
 	"repro/internal/temporal"
@@ -49,29 +48,6 @@ func FastestDurations(g *Graph, src int32, mode CausalMode) ([]int64, error) {
 // fastest between two nodes in one call.
 func ComparePathCriteria(g *Graph, src, dst int32, mode CausalMode) (PathSummary, error) {
 	return temporal.Compare(g, src, dst, mode)
-}
-
-// DynamicStore is a mutable evolving-graph container with copy-on-write
-// snapshots: one writer applies batches while readers hold immutable
-// views (compare STINGER / Aspen).
-type DynamicStore = dynadj.Store
-
-// DynamicView is an immutable snapshot of a DynamicStore.
-type DynamicView = dynadj.View
-
-// Update is one edge insertion or deletion in a DynamicStore batch.
-type Update = dynadj.Update
-
-// Update operations.
-const (
-	Insert = dynadj.Insert
-	Delete = dynadj.Delete
-)
-
-// NewDynamicStore creates an empty dynamic store over numNodes nodes and
-// the given strictly-increasing time labels.
-func NewDynamicStore(numNodes int, times []int64, directed bool) (*DynamicStore, error) {
-	return dynadj.NewStore(numNodes, times, directed)
 }
 
 // ReachEstimator answers approximate influence-cardinality queries from
