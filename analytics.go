@@ -1,6 +1,5 @@
-// Windowed views, temporal motif counting, and the HTTP query handler
-// — the analytics and service layer over the core library (DESIGN.md
-// §7).
+// The HTTP query handler, the change feed and the wire error types —
+// the service layer over the core library (DESIGN.md §10).
 
 package evolving
 
@@ -8,47 +7,9 @@ import (
 	"net/http"
 
 	"repro/internal/feed"
-	"repro/internal/motif"
 	"repro/internal/server"
-	"repro/internal/window"
 	"repro/internal/wire"
 )
-
-// Window is the evolving subgraph induced by a contiguous stamp range.
-type Window = window.Window
-
-// WindowStats summarises one sliding-window position.
-type WindowStats = window.Stats
-
-// CutWindow returns the window of g covering stamps [lo, hi] inclusive.
-func CutWindow(g *Graph, lo, hi int) (*Window, error) { return window.Cut(g, lo, hi) }
-
-// RollWindows slides a width-stamp window across g and reports edge,
-// activity, and (for root ≥ 0) windowed-reach statistics per position.
-func RollWindows(g *Graph, width int, root int32) ([]WindowStats, error) {
-	return window.Roll(g, width, root)
-}
-
-// MotifCounts2 is the 2-edge temporal motif census (path, ping-pong,
-// fan-out, fan-in, repeat).
-type MotifCounts2 = motif.Counts2
-
-// MotifCounts3 is the triangle motif census (feed-forward, cycle).
-type MotifCounts3 = motif.Counts3
-
-// CountMotifs2 counts 2-edge temporal motifs with stamp window delta.
-func CountMotifs2(g *Graph, delta int) (MotifCounts2, error) { return motif.Count2(g, delta) }
-
-// CountTriangleMotifs counts feed-forward and cyclic temporal triangles
-// with stamp window delta.
-func CountTriangleMotifs(g *Graph, delta int) (MotifCounts3, error) {
-	return motif.CountTriangles(g, delta)
-}
-
-// MotifProfile runs the 2-edge census for every delta in 1..maxDelta.
-func MotifProfile(g *Graph, maxDelta int) ([]MotifCounts2, error) {
-	return motif.Profile(g, maxDelta)
-}
 
 // HTTPHandler serves g as a JSON query API with default configuration:
 // the seed query endpoints (/stats, /bfs, /path, /reach, /neighbors,

@@ -150,8 +150,8 @@ func BenchmarkPathEnumerationFig2(b *testing.B) {
 }
 
 // BenchmarkUnfold measures the Theorem 1 static-graph construction,
-// the preprocessing step shared by the equivalence tests and
-// betweenness.
+// the preprocessing step of the equivalence tests and the weak-component
+// oracle.
 func BenchmarkUnfold(b *testing.B) {
 	g := evolving.Random(evolving.RandomConfig{
 		Nodes: 10_000, Stamps: 10, Edges: 100_000, Directed: true, Seed: 17,

@@ -1,17 +1,16 @@
-// Command eginfluence selects maximally influential seed sets and ranks
-// nodes by estimated influence on an evolving graph — the scaled-up
-// version of the paper's Sec. V citation mining.
+// Command eginfluence selects maximally influential seed sets on an
+// evolving graph — the scaled-up version of the paper's Sec. V citation
+// mining.
 //
 // The graph is either loaded from an edge-list file (one "u v t" line
-// per edge) or generated as a synthetic citation network. Two analyses
-// run: a sketched influence ranking (bottom-k reach sketches, near-
-// linear total time) and CELF greedy seed selection (exact coverage,
-// (1−1/e)-approximate joint influence).
+// per edge) or generated as a synthetic citation network. Seeds are
+// chosen by CELF greedy selection (exact coverage, (1−1/e)-approximate
+// joint influence).
 //
 // Usage:
 //
 //	eginfluence [-graph edges.txt] [-authors 300] [-stamps 12] [-seed 42]
-//	            [-seeds 5] [-sketchk 64] [-top 10] [-citation]
+//	            [-seeds 5] [-citation]
 package main
 
 import (
@@ -29,8 +28,6 @@ func main() {
 		stamps    = flag.Int("stamps", 12, "synthetic: number of years")
 		seed      = flag.Int64("seed", 42, "synthetic: generator seed")
 		seeds     = flag.Int("seeds", 5, "greedy seed-set size")
-		sketchK   = flag.Int("sketchk", 64, "sketch size k (accuracy ≈ 1/√(k−2))")
-		top       = flag.Int("top", 10, "size of the sketched ranking")
 		citation  = flag.Bool("citation", true, "treat edges as citations (influence flows against edges)")
 	)
 	flag.Parse()
@@ -57,17 +54,6 @@ func main() {
 	}
 	fmt.Printf("# %d nodes, %d stamps, %d static edges\n",
 		g.NumNodes(), g.NumStamps(), g.StaticEdgeCount())
-
-	// Sketched ranking runs on the forward orientation (reach of a
-	// temporal node); greedy honours the citation direction.
-	fmt.Printf("\n== sketched influence ranking (k=%d) ==\n", *sketchK)
-	est, err := evolving.BuildReachSketches(g, evolving.CausalConsecutive, *sketchK, *seed)
-	if err != nil {
-		fail("sketch: %v", err)
-	}
-	for i, ne := range est.TopK(*top) {
-		fmt.Printf("%3d. node %5d  reach ≈ %8.1f\n", i+1, ne.Node, ne.Influence)
-	}
 
 	fmt.Printf("\n== greedy seed selection (CELF, k=%d) ==\n", *seeds)
 	opts := evolving.InfluenceOptions{ReverseEdges: *citation}

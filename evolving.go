@@ -58,7 +58,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/metrics"
 	"repro/internal/rank"
-	"repro/internal/reachindex"
 )
 
 // Graph is an immutable evolving graph over dense int node ids; build one
@@ -267,16 +266,6 @@ func EarliestArrival(g *Graph, root TemporalNode, mode CausalMode) ([]int32, err
 	return core.EarliestArrival(g, root, mode)
 }
 
-// ReachIndex answers temporal reachability queries in O(1) after a
-// chain-cover preprocessing pass (temporal DAGs only).
-type ReachIndex = reachindex.Index
-
-// BuildReachIndex preprocesses a temporal DAG for constant-time
-// reachability queries; fails on cyclic snapshots.
-func BuildReachIndex(g *Graph, mode CausalMode) (*ReachIndex, error) {
-	return reachindex.Build(g, mode)
-}
-
 // EfficiencyStats summarises global temporal connectivity.
 type EfficiencyStats = metrics.EfficiencyStats
 
@@ -370,11 +359,6 @@ func DynamicWalkDistance(g *Graph, from, to TemporalNode, mode CausalMode) (int,
 	return metrics.DynamicWalkDistance(g, from, to, mode)
 }
 
-// DynamicCommunicability is the Grindrod–Higham resolvent iteration.
-func DynamicCommunicability(g *Graph, alpha float64) (*matrix.Dense, error) {
-	return metrics.DynamicCommunicability(g, alpha)
-}
-
 // TemporalCloseness is harmonic closeness over temporal distances.
 func TemporalCloseness(g *Graph, root TemporalNode, mode CausalMode) (float64, error) {
 	return metrics.TemporalCloseness(g, root, mode)
@@ -383,12 +367,6 @@ func TemporalCloseness(g *Graph, root TemporalNode, mode CausalMode) (float64, e
 // TemporalClosenessOpts is TemporalCloseness with engine control.
 func TemporalClosenessOpts(g *Graph, root TemporalNode, opts MetricOptions) (float64, error) {
 	return metrics.TemporalClosenessOpts(g, root, opts)
-}
-
-// TemporalBetweenness is Brandes betweenness over the unfolded graph,
-// aggregated per node.
-func TemporalBetweenness(g *Graph, mode CausalMode) []float64 {
-	return metrics.TemporalBetweenness(g, mode)
 }
 
 // Connectivity structure.

@@ -84,20 +84,3 @@ func ExampleGreedyInfluence() {
 	// Output:
 	// seed node 1: +3 nodes, 3 covered
 }
-
-// Reach sketches give O(1) influence-size estimates; below k distinct
-// reachable nodes they are exact.
-func ExampleBuildReachSketches() {
-	g := evolving.Figure1Graph()
-	est, err := evolving.BuildReachSketches(g, evolving.CausalAllPairs, 8, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, ne := range est.TopK(3) {
-		fmt.Printf("node %d influences %.0f node(s)\n", ne.Node+1, ne.Influence)
-	}
-	// Output:
-	// node 1 influences 3 node(s)
-	// node 2 influences 2 node(s)
-	// node 3 influences 1 node(s)
-}

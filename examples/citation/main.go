@@ -60,14 +60,4 @@ func main() {
 	}
 	fmt.Printf("Community of author %d (shared intellectual ancestry): %d authors\n",
 		mid, com.NumAuthors())
-
-	// Cross-check with temporal betweenness: relay authors.
-	bt := evolving.TemporalBetweenness(g, evolving.CausalAllPairs)
-	best, bestV := -1.0, int32(-1)
-	for v, s := range bt {
-		if s > best {
-			best, bestV = s, int32(v)
-		}
-	}
-	fmt.Printf("Highest temporal betweenness: author %d (%.1f)\n", bestV, best)
 }

@@ -46,13 +46,7 @@ func main() {
 		res.Dist(to), back.Dist(from))
 	fmt.Println()
 
-	// Centralities over the same graph.
-	q, err := evolving.DynamicCommunicability(g, 0.3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("Grindrod–Higham dynamic communicability (alpha=0.3):")
-	fmt.Println(q)
+	// Katz centrality over the same graph.
 	katz, err := evolving.TemporalKatz(g, evolving.KatzOptions{Alpha: 0.5})
 	if err != nil {
 		log.Fatal(err)

@@ -1,16 +1,13 @@
-// Influence: who shaped a research field? Seed selection and sketched
-// influence ranking on a synthetic citation network (Sec. V, extended).
+// Influence: who shaped a research field? Seed selection on a synthetic
+// citation network (Sec. V, extended).
 //
 // The paper's Sec. V computes one author's influence set T(a, t) with a
-// single BFS. This example scales the question up twice over:
-//
-//  1. sketched ranking — bottom-k reach sketches estimate |T(a, t)| for
-//     every author in near-linear total time, and are checked here
-//     against exact BFS counts;
-//  2. seed selection — CELF greedy picks the K authors whose *joint*
-//     influence covers the most of the field, which is a different (and
-//     for program committees, more useful) question than the top-K
-//     individual influencers, because influence overlaps.
+// single BFS. This example scales the question up: CELF greedy picks the
+// K authors whose *joint* influence covers the most of the field, which
+// is a different (and for program committees, more useful) question
+// than the top-K individual influencers, because influence overlaps.
+// The exact spread of each single author answers the second question,
+// and the two answers are compared.
 package main
 
 import (
@@ -35,27 +32,6 @@ func main() {
 	// Citation edges point i→j for "i cites j"; influence flows j→i.
 	opts := evolving.InfluenceOptions{ReverseEdges: true}
 
-	// --- 1. sketched influence ranking -------------------------------
-	// Reverse the direction by flipping time: influence in a citation
-	// network is reachability under reversed edges; sketches run on the
-	// forward orientation, so rank with exact spreads for the top few
-	// and sketches for the broad sweep.
-	est, err := evolving.BuildReachSketches(g, evolving.CausalConsecutive, 64, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("top 5 by sketched forward reach (who a paper's readers go on to read):")
-	for i, ne := range est.TopK(5) {
-		exact, err := evolving.InfluenceSpread(g, []int32{ne.Node}, evolving.InfluenceOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %d. author %3d  sketch ≈ %6.1f   exact %4d   entered stamp %d\n",
-			i+1, ne.Node, ne.Influence, exact, entry[ne.Node])
-	}
-	fmt.Println()
-
-	// --- 2. greedy seed selection ------------------------------------
 	seeds, err := evolving.GreedyInfluence(g, 5, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -109,14 +109,12 @@ func TestPublicAPIBinaryIO(t *testing.T) {
 	}
 }
 
-func TestPublicAPIReachIndexAndEfficiency(t *testing.T) {
+func TestPublicAPIClosureAndEfficiency(t *testing.T) {
 	g := evolving.Figure1Graph()
-	idx, err := evolving.BuildReachIndex(g, evolving.CausalAllPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !idx.Reaches(evolving.TemporalNode{Node: 0, Stamp: 0}, evolving.TemporalNode{Node: 2, Stamp: 2}) {
-		t.Fatal("reach index wrong")
+	from, to := evolving.TemporalNode{Node: 0, Stamp: 0}, evolving.TemporalNode{Node: 2, Stamp: 2}
+	tc := evolving.TransitiveClosure(g, evolving.CausalAllPairs)
+	if !tc.Reaches(from, to) || tc.Reaches(to, from) {
+		t.Fatal("transitive closure wrong")
 	}
 	st := evolving.GlobalEfficiency(g, evolving.CausalAllPairs)
 	if st.Diameter != 3 {

@@ -207,59 +207,3 @@ func assertSameGraph(t *testing.T, what string, got, want *evolving.Graph) {
 		t.Fatalf("%s: edge lists differ\ngot:\n%s\nwant:\n%s", what, gotList.Bytes(), wantList.Bytes())
 	}
 }
-
-// TestSketchAgreesWithInfluenceSpread ties the two influence estimators
-// together: at exact-regime k the sketch must equal InfluenceSpread for
-// single seeds (both count distinct influenced nodes, forward
-// orientation).
-func TestSketchAgreesWithInfluenceSpread(t *testing.T) {
-	g := evolving.GNP(120, 5, 0.01, true, 31)
-	est, err := evolving.BuildReachSketches(g, evolving.CausalAllPairs, g.NumNodes()+8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for v := int32(0); v < int32(g.NumNodes()); v += 5 {
-		sk, ok := est.EstimateNode(v)
-		if !ok {
-			continue
-		}
-		spread, err := evolving.InfluenceSpread(g, []int32{v}, evolving.InfluenceOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(sk) != spread {
-			t.Fatalf("node %d: sketch %g ≠ spread %d", v, sk, spread)
-		}
-		checked++
-	}
-	if checked < 5 {
-		t.Fatalf("only %d nodes checked; generator too sparse", checked)
-	}
-}
-
-// TestWindowedMotifsConsistent ties windows and motifs together: motifs
-// of a window with δ = full width must equal motifs of the parent
-// restricted to pairs inside the range. For a window covering the whole
-// axis the counts coincide exactly.
-func TestWindowedMotifsConsistent(t *testing.T) {
-	g := evolving.Random(evolving.RandomConfig{
-		Nodes: 80, Stamps: 6, Edges: 500, Directed: true, Seed: 13,
-	})
-	w, err := evolving.CutWindow(g, 0, g.NumStamps()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := g.NumStamps() - 1
-	want, err := evolving.CountMotifs2(g, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := evolving.CountMotifs2(w.Graph, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("full-window motifs %+v ≠ parent motifs %+v", got, want)
-	}
-}

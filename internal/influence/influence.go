@@ -18,8 +18,7 @@
 // candidate — the differential-testing oracle, producing bit-identical
 // reach sets, seeds and spreads. Either way the cost is at most one
 // O(|E| + |V|) search per candidate and |V|²/8 bytes of bitsets — exact
-// and fine at mining scale; use internal/sketch for read-only influence
-// *ranking* on graphs too large to materialise.
+// and fine at mining scale.
 package influence
 
 import (

@@ -9,10 +9,8 @@
 //     cost 1, waiting (causal edges) is free — "causal edges … are only
 //     implicitly included in dynamic walks and are not counted toward
 //     the length".
-//   - Grindrod–Higham dynamic communicability (the matrix iteration
-//     Q = Π (I − αA[t])⁻¹), with broadcast/receive centralities.
-//   - Temporal closeness and temporal betweenness over the evolving
-//     graph, computed with the paper's BFS.
+//   - Temporal closeness and global efficiency over the evolving graph,
+//     computed with the paper's BFS.
 //
 // Having these executable side by side demonstrates that the three
 // distance notions genuinely disagree (see the package tests).
@@ -28,13 +26,9 @@
 package metrics
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/ds"
 	"repro/internal/egraph"
-	"repro/internal/matrix"
 )
 
 // Options configures the BFS-backed centrality computations. The zero
@@ -112,62 +106,6 @@ func PaperDistance(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode, mod
 		return Unreachable, err
 	}
 	return res.Dist(to), nil
-}
-
-// DynamicCommunicability computes the Grindrod–Higham matrix iteration
-// Q = (I − αA[t1])⁻¹ (I − αA[t2])⁻¹ ··· (I − αA[tn])⁻¹ over the
-// per-stamp adjacency matrices. α must satisfy α·ρ(A[t]) < 1 for every
-// stamp; callers typically take α below 1/max-degree. Q[i][j] measures
-// the weight of dynamic walks from i to j.
-func DynamicCommunicability(g *egraph.IntEvolvingGraph, alpha float64) (*matrix.Dense, error) {
-	if alpha <= 0 {
-		return nil, errors.New("metrics: alpha must be positive")
-	}
-	n := g.NumNodes()
-	q := matrix.Identity(n)
-	for t := 0; t < g.NumStamps(); t++ {
-		a := matrix.NewDense(n, n)
-		g.VisitEdges(int32(t), func(u, v int32, _ float64) bool {
-			a.Set(int(u), int(v), 1)
-			if !g.Directed() {
-				a.Set(int(v), int(u), 1)
-			}
-			return true
-		})
-		factor := matrix.Identity(n).Sub(a.Scale(alpha))
-		inv, err := factor.Inverse()
-		if err != nil {
-			return nil, fmt.Errorf("metrics: resolvent at stamp %d: %w (alpha too large?)", t, err)
-		}
-		q = q.Mul(inv)
-	}
-	return q, nil
-}
-
-// BroadcastCentrality returns the row sums of the dynamic
-// communicability matrix: how effectively each node seeds information.
-func BroadcastCentrality(q *matrix.Dense) []float64 {
-	r, c := q.Dims()
-	out := make([]float64, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out[i] += q.At(i, j)
-		}
-	}
-	return out
-}
-
-// ReceiveCentrality returns the column sums of the dynamic
-// communicability matrix: how effectively each node collects information.
-func ReceiveCentrality(q *matrix.Dense) []float64 {
-	r, c := q.Dims()
-	out := make([]float64, c)
-	for j := 0; j < c; j++ {
-		for i := 0; i < r; i++ {
-			out[j] += q.At(i, j)
-		}
-	}
-	return out
 }
 
 // TemporalCloseness returns the closeness centrality of an active

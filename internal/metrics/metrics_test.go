@@ -100,59 +100,6 @@ func TestDynamicWalkDistanceUnreachable(t *testing.T) {
 	}
 }
 
-func TestDynamicCommunicability(t *testing.T) {
-	g := egraph.Figure1Graph()
-	q, err := DynamicCommunicability(g, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Q ≥ I elementwise on the diagonal; walk 1→2 (via t1) and 1→3
-	// (via t2, or t1→t3 chain) have positive weight.
-	if q.At(0, 0) < 1 || q.At(0, 1) <= 0 || q.At(0, 2) <= 0 {
-		t.Fatalf("communicability entries wrong:\n%v", q)
-	}
-	// No walk reaches node 1 from node 3 (edges never point back).
-	if q.At(2, 0) != 0 {
-		t.Fatalf("Q[3][1] = %g, want 0", q.At(2, 0))
-	}
-	// The chain walk 1→2@t1 then 2→3@t3 contributes at second order:
-	// Q[1][3] must exceed the single-edge weight alpha.
-	if q.At(0, 2) <= 0.3 {
-		t.Fatalf("Q[1][3] = %g, want > alpha (chain walk missing)", q.At(0, 2))
-	}
-}
-
-func TestDynamicCommunicabilityErrors(t *testing.T) {
-	g := egraph.Figure1Graph()
-	if _, err := DynamicCommunicability(g, 0); err == nil {
-		t.Fatal("alpha = 0 should error")
-	}
-	// A 2-cycle with alpha = 1 makes I − αA singular.
-	b := egraph.NewBuilder(true)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 0, 1)
-	if _, err := DynamicCommunicability(b.Build(), 1.0); err == nil {
-		t.Fatal("singular resolvent should error")
-	}
-}
-
-func TestBroadcastReceiveCentrality(t *testing.T) {
-	g := egraph.Figure1Graph()
-	q, err := DynamicCommunicability(g, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc := BroadcastCentrality(q)
-	rc := ReceiveCentrality(q)
-	// Node 1 broadcasts most (starts both chains); node 3 receives most.
-	if !(bc[0] > bc[1] && bc[0] > bc[2]) {
-		t.Fatalf("broadcast = %v, want node 1 max", bc)
-	}
-	if !(rc[2] > rc[0] && rc[2] > rc[1]) {
-		t.Fatalf("receive = %v, want node 3 max", rc)
-	}
-}
-
 func TestTemporalCloseness(t *testing.T) {
 	g := egraph.Figure1Graph()
 	c, err := TemporalCloseness(g, tn(0, 0), egraph.CausalAllPairs)
@@ -174,40 +121,6 @@ func TestTemporalCloseness(t *testing.T) {
 	}
 	if _, err := TemporalCloseness(g, tn(2, 0), egraph.CausalAllPairs); err == nil {
 		t.Fatal("inactive root should error")
-	}
-}
-
-func TestTemporalBetweenness(t *testing.T) {
-	// Path 0→1@t1, 1→2@t2: node 1 is the only intermediary.
-	b := egraph.NewBuilder(true)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 2, 2)
-	g := b.Build()
-	bt := TemporalBetweenness(g, egraph.CausalAllPairs)
-	if len(bt) != 3 {
-		t.Fatalf("scores = %v", bt)
-	}
-	if bt[1] <= 0 {
-		t.Fatalf("intermediary node 1 has betweenness %g, want > 0", bt[1])
-	}
-	if bt[1] <= bt[0] || bt[1] <= bt[2] {
-		t.Fatalf("node 1 should dominate: %v", bt)
-	}
-}
-
-func TestTemporalBetweennessStar(t *testing.T) {
-	// Hub 0 relays between 4 leaves across two stamps.
-	b := egraph.NewBuilder(true)
-	b.AddEdge(1, 0, 1)
-	b.AddEdge(2, 0, 1)
-	b.AddEdge(0, 3, 2)
-	b.AddEdge(0, 4, 2)
-	g := b.Build()
-	bt := TemporalBetweenness(g, egraph.CausalAllPairs)
-	for v := 1; v <= 4; v++ {
-		if bt[0] <= bt[v] {
-			t.Fatalf("hub should dominate leaves: %v", bt)
-		}
 	}
 }
 

@@ -458,48 +458,54 @@ type Summary struct {
 
 // Compare evaluates the four criteria between src and dst. The shortest
 // and foremost criteria depart at src's earliest active stamp, matching
-// the paper's convention that BFS roots sit at the earliest stamp.
+// the paper's convention that BFS roots sit at the earliest stamp. Two
+// parent-free searches answer them and the latest departure; Fastest
+// answers the fourth.
 func Compare(g *egraph.IntEvolvingGraph, src, dst int32, mode egraph.CausalMode) (Summary, error) {
+	if src < 0 || int(src) >= g.NumNodes() || dst < 0 || int(dst) >= g.NumNodes() {
+		return Summary{}, fmt.Errorf("temporal: compare: node out of range (src=%d, dst=%d, n=%d)", src, dst, g.NumNodes())
+	}
 	sum := Summary{Source: src, Target: dst}
 	stamps := g.ActiveStamps(src)
 	if len(stamps) == 0 {
 		return sum, core.ErrInactiveRoot
 	}
-	root := egraph.TemporalNode{Node: src, Stamp: stamps[0]}
-
-	fm, err := Foremost(g, root, mode)
+	fwd, err := core.BFS(g, egraph.TemporalNode{Node: src, Stamp: stamps[0]}, core.Options{Mode: mode})
 	if err != nil {
-		return sum, err
+		return sum, fmt.Errorf("temporal: compare: %w", err)
 	}
-	if fm.ArrivalStamp(dst) < 0 {
+	dstStamps := g.ActiveStamps(dst)
+	arrival := int32(-1)
+	for _, s := range dstStamps {
+		if fwd.Reached(egraph.TemporalNode{Node: dst, Stamp: s}) {
+			arrival = s
+			break
+		}
+	}
+	if arrival < 0 {
 		// Unreachable from the earliest stamp implies unreachable
 		// from every later stamp: any path departing later is a
 		// suffix-compatible path departing earlier via a causal hop.
 		return sum, nil
 	}
 	sum.Reachable = true
-	sum.EarliestArrival, _ = fm.ArrivalLabel(dst)
-	sum.ShortestHops = fm.Path(dst).Hops()
+	sum.EarliestArrival = g.TimeLabel(int(arrival))
+	sum.ShortestHops = fwd.Dist(egraph.TemporalNode{Node: dst, Stamp: arrival})
 
-	target := egraph.TemporalNode{Node: dst, Stamp: fm.ArrivalStamp(dst)}
-	// The latest departure is with respect to reaching dst at any
-	// stamp, so aim the backward search at dst's last reachable stamp.
-	lastStamps := g.ActiveStamps(dst)
-	target = egraph.TemporalNode{Node: dst, Stamp: lastStamps[len(lastStamps)-1]}
-	ld, err := LatestDeparture(g, target, mode)
+	// Reaching any stamp of dst implies reaching its last stamp over
+	// causal arcs, so one backward search from there finds the latest
+	// departure toward dst at any stamp. It reaches (src, stamps[0]) at
+	// least, so some stamp of src is found.
+	last := egraph.TemporalNode{Node: dst, Stamp: dstStamps[len(dstStamps)-1]}
+	bwd, err := core.BFS(g, last, core.Options{Mode: mode, Direction: core.Backward})
 	if err != nil {
-		return sum, err
+		return sum, fmt.Errorf("temporal: compare: %w", err)
 	}
-	if lbl, ok := ld.DepartureLabel(src); ok {
-		sum.LatestDeparture = lbl
-	} else {
-		// dst's last stamp may be unreachable even though an earlier
-		// stamp is; fall back to the foremost arrival stamp.
-		ld, err = LatestDeparture(g, egraph.TemporalNode{Node: dst, Stamp: fm.ArrivalStamp(dst)}, mode)
-		if err != nil {
-			return sum, err
+	for i := len(stamps) - 1; i >= 0; i-- {
+		if bwd.Reached(egraph.TemporalNode{Node: src, Stamp: stamps[i]}) {
+			sum.LatestDeparture = g.TimeLabel(int(stamps[i]))
+			break
 		}
-		sum.LatestDeparture, _ = ld.DepartureLabel(src)
 	}
 
 	fast, err := Fastest(g, src, dst, mode)

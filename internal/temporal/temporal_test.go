@@ -3,6 +3,7 @@ package temporal
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +157,89 @@ func TestCompareUnreachable(t *testing.T) {
 	}
 	if sum.Reachable {
 		t.Fatalf("Compare(1,0) = %+v, want unreachable", sum)
+	}
+}
+
+// Compare rejects an out-of-range node with an error, as its siblings
+// Fastest, Durations and ArrivalProfile do, instead of panicking.
+func TestCompareOutOfRange(t *testing.T) {
+	g := egraph.Figure1Graph()
+	for _, c := range []struct{ src, dst int32 }{{0, 9}, {0, -1}, {9, 0}, {-1, 0}} {
+		_, err := Compare(g, c.src, c.dst, egraph.CausalAllPairs)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Compare(%d, %d) error = %v, want node out of range", c.src, c.dst, err)
+		}
+	}
+}
+
+// Compare must agree, field by field and on every (src, dst) pair, with
+// the criteria computed one at a time: the public Foremost from src's
+// earliest stamp (arrival label and tree-path hops), a brute-force
+// latest departure that runs one forward BFS per stamp of src, and
+// Fastest.
+func TestCompareMatchesCriteria(t *testing.T) {
+	f := func(seed int64, directed, consecutive bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, directed)
+		mode := egraph.CausalAllPairs
+		if consecutive {
+			mode = egraph.CausalConsecutive
+		}
+		for src := int32(0); src < int32(g.NumNodes()); src++ {
+			stamps := g.ActiveStamps(src)
+			for dst := int32(0); dst < int32(g.NumNodes()); dst++ {
+				got, err := Compare(g, src, dst, mode)
+				if len(stamps) == 0 {
+					if !errors.Is(err, core.ErrInactiveRoot) {
+						t.Logf("seed %d: Compare(%d, %d) on inactive src: %v", seed, src, dst, err)
+						return false
+					}
+					continue
+				}
+				if err != nil {
+					t.Logf("seed %d: Compare(%d, %d): %v", seed, src, dst, err)
+					return false
+				}
+				want := Summary{Source: src, Target: dst}
+				fm, err := Foremost(g, tn(src, stamps[0]), mode)
+				if err != nil {
+					t.Logf("foremost: %v", err)
+					return false
+				}
+				if lbl, ok := fm.ArrivalLabel(dst); ok {
+					want.Reachable = true
+					want.EarliestArrival = lbl
+					want.ShortestHops = fm.Path(dst).Hops()
+					for _, s := range stamps {
+						res, err := core.BFS(g, tn(src, s), core.Options{Mode: mode})
+						if err != nil {
+							t.Logf("bfs: %v", err)
+							return false
+						}
+						for _, a := range g.ActiveStamps(dst) {
+							if res.Reached(tn(dst, a)) {
+								want.LatestDeparture = g.TimeLabel(int(s)) // ascending: keep the last hit
+								break
+							}
+						}
+					}
+					fast, err := Fastest(g, src, dst, mode)
+					if err != nil {
+						t.Logf("fastest: %v", err)
+						return false
+					}
+					want.FastestDuration = fast.Duration
+				}
+				if got != want {
+					t.Logf("seed %d mode %v: Compare(%d, %d) = %+v, want %+v", seed, mode, src, dst, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 

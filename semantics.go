@@ -1,12 +1,11 @@
-// Temporal-path optimality criteria, reachability sketches, and
-// influence maximization — the extension layer built on top of the
-// paper's Algorithm 1 (see DESIGN.md §7).
+// Temporal-path optimality criteria and influence maximization — the
+// extension layer built on top of the paper's Algorithm 1 (see
+// DESIGN.md §7).
 
 package evolving
 
 import (
 	"repro/internal/influence"
-	"repro/internal/sketch"
 	"repro/internal/temporal"
 )
 
@@ -48,20 +47,6 @@ func FastestDurations(g *Graph, src int32, mode CausalMode) ([]int64, error) {
 // fastest between two nodes in one call.
 func ComparePathCriteria(g *Graph, src, dst int32, mode CausalMode) (PathSummary, error) {
 	return temporal.Compare(g, src, dst, mode)
-}
-
-// ReachEstimator answers approximate influence-cardinality queries from
-// bottom-k min-rank sketches.
-type ReachEstimator = sketch.ReachEstimator
-
-// NodeEstimate pairs a node with its estimated influence cardinality.
-type NodeEstimate = sketch.NodeEstimate
-
-// BuildReachSketches computes bottom-k reach sketches for every active
-// temporal node; k controls the accuracy/memory trade-off (relative
-// standard error ≈ 1/√(k−2)).
-func BuildReachSketches(g *Graph, mode CausalMode, k int, seed int64) (*ReachEstimator, error) {
-	return sketch.BuildReach(g, mode, k, seed)
 }
 
 // InfluenceOptions configures greedy seed selection.
