@@ -375,31 +375,24 @@ func patchStamp(base *IntEvolvingGraph, si int, ops []stampOp, newN int) patched
 // newStamp builds the snapshot of a label base does not carry. Only
 // surviving insertions matter: removals at an unknown label cannot hit
 // anything, and a label left with no edges materialises no stamp (the
-// Builder rule).
+// Builder rule). The ops are already canonical and unique per arc, and
+// the nodes they touch are exactly the new stamp's active nodes.
 func newStamp(base *IntEvolvingGraph, ops []stampOp, newN int) (patchedStamp, bool) {
-	edges := make(map[edgeKey]float64)
-	touchedSet := make(map[int32]struct{})
+	edges := make([]rawEdge, 0, len(ops))
 	for _, op := range ops {
-		if op.del {
-			continue
+		if !op.del {
+			edges = append(edges, rawEdge{u: op.u, v: op.v, w: op.w})
 		}
-		edges[edgeKey{op.u, op.v}] = op.w // keys are already canonical
-		touchedSet[op.u] = struct{}{}
-		touchedSet[op.v] = struct{}{}
 	}
 	if len(edges) == 0 {
 		return patchedStamp{}, false
 	}
-	touched := make([]int32, 0, len(touchedSet))
-	for v := range touchedSet {
-		touched = append(touched, v)
+	snap := newStampBuilder(newN, base.directed, base.weighted).build(edges)
+	touched := make([]int32, 0, snap.active.Count())
+	for v := snap.active.NextSet(0); v >= 0; v = snap.active.NextSet(v + 1) {
+		touched = append(touched, int32(v))
 	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-	return patchedStamp{
-		snap:    buildSnapshot(newN, base.directed, base.weighted, edges),
-		touched: touched,
-		changed: true,
-	}, true
+	return patchedStamp{snap: snap, touched: touched, changed: true}, true
 }
 
 // nbrW is one adjacency insertion: a neighbour and its weight.

@@ -52,27 +52,25 @@ func Random(cfg RandomConfig) *egraph.IntEvolvingGraph {
 // grow by prefix — the k-th graph contains exactly the first
 // edgeCounts[k] random edges, mirroring the paper's "we consecutively
 // add new random static edges" protocol. edgeCounts must be
-// non-decreasing.
+// non-negative and non-decreasing. One Builder takes the edges in draw
+// order and is built at every prefix.
 func RandomSeries(nodes, stamps int, edgeCounts []int, directed bool, seed int64) []*egraph.IntEvolvingGraph {
 	if len(edgeCounts) == 0 {
 		return nil
 	}
-	maxE := edgeCounts[len(edgeCounts)-1]
-	for i := 1; i < len(edgeCounts); i++ {
-		if edgeCounts[i] < edgeCounts[i-1] {
+	for i, c := range edgeCounts {
+		validate(nodes, stamps, c)
+		if i > 0 && c < edgeCounts[i-1] {
 			panic("gen: RandomSeries edge counts must be non-decreasing")
 		}
 	}
-	validate(nodes, stamps, maxE)
 	rng := rand.New(rand.NewSource(seed))
-	edges := make([]TimedEdge, maxE)
-	for i := range edges {
-		edges[i] = randomEdge(rng, nodes, stamps)
-	}
+	b := egraph.NewBuilder(directed)
 	out := make([]*egraph.IntEvolvingGraph, len(edgeCounts))
+	drawn := 0
 	for k, cnt := range edgeCounts {
-		b := egraph.NewBuilder(directed)
-		for _, e := range edges[:cnt] {
+		for ; drawn < cnt; drawn++ {
+			e := randomEdge(rng, nodes, stamps)
 			b.AddEdge(e.U, e.V, e.T)
 		}
 		out[k] = b.Build()

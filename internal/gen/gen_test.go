@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -70,12 +72,23 @@ func TestRandomSeriesValidation(t *testing.T) {
 	if RandomSeries(10, 2, nil, true, 1) != nil {
 		t.Fatal("empty counts should give nil")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for decreasing counts")
+	for _, tc := range []struct {
+		counts []int
+		want   string
+	}{
+		{[]int{5, 3}, "gen: RandomSeries edge counts must be non-decreasing"},
+		{[]int{-1, 5}, "gen: bad parameters"},
+		{[]int{0, -1}, "gen: bad parameters"},
+	} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			RandomSeries(10, 2, tc.counts, true, 1)
+			return
+		}()
+		if !strings.HasPrefix(msg, tc.want) {
+			t.Errorf("RandomSeries(%v) panicked with %q, want %q", tc.counts, msg, tc.want)
 		}
-	}()
-	RandomSeries(10, 2, []int{5, 3}, true, 1)
+	}
 }
 
 func TestGNP(t *testing.T) {
