@@ -29,8 +29,8 @@
 //   - csr: flat-CSR build time, sequential (engine "csr-seq") vs
 //     parallel with arena reuse (engine "csr-par"), on the same base
 //     graph, asserting bit-identical views;
-//   - inc: incrementally maintained analytics (internal/inc) — the
-//     maintainer rolling weak components and both causal modes'
+//   - inc: maintained analytics (internal/inc) — the maintainer
+//     recomputing weak components and rolling both causal modes'
 //     temporal Katz across chained epochs of -compactDeltas events
 //     (engine "inc") raced against the verbatim full recomputations
 //     those analytics would otherwise cost per epoch (engine "full"),
@@ -644,8 +644,8 @@ func runIncSuite(nodes, stamps, edges int, deltaList string, alpha float64, seed
 		})
 
 		st := m.Stats()
-		fmt.Printf("# delta-%d maintainer: weak %d inc / %d full, katz %d inc / %d full\n",
-			k, st.WeakIncremental, st.WeakFull, st.KatzIncremental, st.KatzFull)
+		fmt.Printf("# delta-%d maintainer: katz %d inc / %d full\n",
+			k, st.KatzIncremental, st.KatzFull)
 		graph := fmt.Sprintf("delta-%d", k)
 		row := func(engine string, d time.Duration) {
 			speedup := float64(fullBest.Nanoseconds()) / float64(d.Nanoseconds())

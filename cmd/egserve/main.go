@@ -134,7 +134,7 @@ func main() {
 		faultSpec       = flag.String("fault", "", "fault-injection scenario: a named scenario (disk-full, fsync-stall, conn-flap, slow-compute), a scenario file, or inline text (internal/fault DSL); empty disables")
 		serveStale      = flag.Bool("serve-stale", false, "degraded read mode: serve the last good cached answer (X-Cache: stale) when a compute fails server-side or its deadline budget runs out")
 		fullRebuild     = flag.Bool("full-rebuild", false, "compact via the full Fold rebuild instead of the incremental Patch (the differential oracle; slower, same results)")
-		incAnalytics    = flag.Bool("inc", true, "maintain weak components and temporal Katz incrementally across compactions; /components/weak and /katz serve the maintained results")
+		incAnalytics    = flag.Bool("inc", true, "recompute weak components and maintain temporal Katz incrementally across compactions; /components/weak and /katz serve the maintained results")
 
 		writeTimeout    = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none; cold analytics queries can be slow)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")

@@ -49,20 +49,5 @@ func (u *UnionFind) Union(x, y int) bool {
 // Same reports whether x and y share a set.
 func (u *UnionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 
-// Remap mirrors u into a fresh union-find over n elements under the
-// injection f: f(x) inherits x's forest links, so f(a) and f(b) share a
-// set exactly when a and b did; elements of [0,n) outside f's image
-// stay singletons. f must map [0,len) injectively into [0,n).
-func (u *UnionFind) Remap(n int, f func(int) int) *UnionFind {
-	nu := NewUnionFind(n)
-	for i := range u.parent {
-		fi := f(i)
-		nu.parent[fi] = int32(f(int(u.parent[i])))
-		nu.rank[fi] = u.rank[i]
-	}
-	nu.sets = n - (len(u.parent) - u.sets)
-	return nu
-}
-
 // Sets returns the number of disjoint sets remaining.
 func (u *UnionFind) Sets() int { return u.sets }

@@ -49,43 +49,6 @@ func TestUnionFindFindIsCanonical(t *testing.T) {
 	}
 }
 
-// Property: Remap under a random injection preserves exactly the
-// original Same relation, leaves unmapped elements singleton, and keeps
-// the set count consistent.
-func TestUnionFindRemap(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(40)
-		u := NewUnionFind(n)
-		for op := 0; op < n; op++ {
-			u.Union(rng.Intn(n), rng.Intn(n))
-		}
-		m := n + rng.Intn(20)
-		perm := rng.Perm(m)[:n] // injection [0,n) → [0,m)
-		image := make(map[int]bool, n)
-		for _, p := range perm {
-			image[p] = true
-		}
-		nu := u.Remap(m, func(x int) int { return perm[x] })
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if nu.Same(perm[a], perm[b]) != u.Same(a, b) {
-					return false
-				}
-			}
-		}
-		for x := 0; x < m; x++ {
-			if !image[x] && nu.Find(x) != x {
-				return false
-			}
-		}
-		return nu.Sets() == m-(n-u.Sets())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: UnionFind agrees with a naive label-propagation model.
 func TestUnionFindMatchesModel(t *testing.T) {
 	f := func(seed int64) bool {

@@ -113,8 +113,10 @@ func seedCorpus(f *testing.F) {
 	f.Add(churn)
 }
 
-// FuzzIncWeak asserts the maintained weak partition against the full
-// union-find recompute after every epoch.
+// FuzzIncWeak asserts the weak partition the Maintainer recomputes
+// every epoch against components.Weak, in both causal modes, without
+// checking Katz: the Maintainer still maintains Katz, but skipping its
+// oracle leaves more iterations per fuzz window for the weak check.
 func FuzzIncWeak(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,18 +1,14 @@
-// Package inc incrementally maintains whole-graph analytics across
-// ingest epochs, so the read side of the live service pays
-// delta-proportional cost instead of recomputing from zero on every
-// published revision (DESIGN.md §13).
+// Package inc maintains whole-graph analytics across ingest epochs,
+// so the read side of the live service does not recompute Katz from
+// zero on every published revision (DESIGN.md §13).
 //
 // The epoch compactor hands a Maintainer the same resolved ArcDelta it
 // hands egraph.Patch, and the Maintainer rolls its state forward:
 //
-//   - Weak components live in a persistent union-find. Arc insertions
-//     absorb in near-O(α) — a union per new arc plus chain links for
-//     newly activated temporal nodes. Deletions re-derive connectivity
-//     only for the components the delta touched (their members' CSR
-//     rows are rescanned; everything else is seeded from the old
-//     partition), falling back to a full rebuild when the touched
-//     region exceeds Config.ChurnThreshold of the active set.
+//   - Weak components are recomputed every epoch: one union-find pass
+//     over the new graph's CSR. The pass is linear in the unfolding,
+//     and on live-ingest epochs it is cheaper than any bookkeeping that
+//     would avoid it.
 //   - Temporal Katz is maintained as a sparse correction series:
 //     x_new = x_old + Σ_k (αA_newᵀ)^k r, where the residual r is
 //     non-zero only on rows whose in-arcs or activity the delta
@@ -39,46 +35,29 @@ import (
 	"sync/atomic"
 
 	"repro/internal/components"
-	"repro/internal/ds"
 	"repro/internal/egraph"
 )
 
 // Config tunes a Maintainer. The zero value maintains Katz at the
-// serving layer's default alpha with default thresholds.
+// serving layer's default alpha.
 type Config struct {
 	// KatzAlpha is the attenuation of the maintained Katz vectors
 	// (default 0.1 — the /katz endpoint's default). Queries at any
 	// other alpha fall through to on-demand computation.
 	KatzAlpha float64
-	// ChurnThreshold is the fraction of active temporal nodes past
-	// which the weak-component recheck abandons the per-component
-	// rescan and rebuilds from scratch (default 0.25). A delta that
-	// touches most of the graph gains nothing from incrementality.
-	ChurnThreshold float64
-	// KatzDirtyThreshold is the fraction of the temporal-node id space
-	// past which the Katz correction series starts from a full
-	// recompute instead (default 0.25).
-	KatzDirtyThreshold float64
 }
 
 func (c *Config) defaults() {
 	if c.KatzAlpha == 0 {
 		c.KatzAlpha = 0.1
 	}
-	if c.ChurnThreshold == 0 {
-		c.ChurnThreshold = 0.25
-	}
-	if c.KatzDirtyThreshold == 0 {
-		c.KatzDirtyThreshold = 0.25
-	}
 }
 
 // Stats is a point-in-time snapshot of the maintenance counters: how
-// many epochs each analytic absorbed incrementally vs recomputed.
+// many epochs ran, and how many of them absorbed Katz incrementally vs
+// recomputed it.
 type Stats struct {
 	Epochs          int64 `json:"epochs"`
-	WeakIncremental int64 `json:"weakIncremental"`
-	WeakFull        int64 `json:"weakFull"`
 	KatzIncremental int64 `json:"katzIncremental"`
 	KatzFull        int64 `json:"katzFull"`
 }
@@ -91,7 +70,6 @@ type Maintainer struct {
 
 	mu  sync.Mutex
 	g   *egraph.IntEvolvingGraph // graph the state below describes
-	uf  *ds.UnionFind            // weak connectivity of g, persistent across add-only epochs
 	res *Results                 // last published results
 
 	// Scratch reused across epochs (guarded by mu): root→label/size
@@ -112,8 +90,6 @@ type Maintainer struct {
 	katzDrift [2]float64
 
 	epochs   atomic.Int64
-	weakInc  atomic.Int64
-	weakFull atomic.Int64
 	katzInc  atomic.Int64
 	katzFull atomic.Int64
 }
@@ -129,8 +105,6 @@ func New(cfg Config) *Maintainer {
 func (m *Maintainer) Stats() Stats {
 	return Stats{
 		Epochs:          m.epochs.Load(),
-		WeakIncremental: m.weakInc.Load(),
-		WeakFull:        m.weakFull.Load(),
 		KatzIncremental: m.katzInc.Load(),
 		KatzFull:        m.katzFull.Load(),
 	}
@@ -228,14 +202,12 @@ func (r *Results) QueryUnaffected(node, stamp int32) bool {
 	return !hit
 }
 
-// resolvedOp is one surviving (post last-wins) structural change:
-// canonicalised like egraph.Patch, filtered down to ops that actually
-// alter the base graph (removals of absent arcs and re-adds of present
-// arcs are no-ops there too).
+// resolvedOp holds the endpoints of one surviving (post last-wins)
+// structural change: canonicalised like egraph.Patch, filtered down to
+// ops that actually alter the base graph (removals of absent arcs and
+// re-adds of present arcs are no-ops there too).
 type resolvedOp struct {
-	u, v  int32
-	label int64
-	del   bool
+	u, v int32
 }
 
 // resolveDelta collapses delta last-wins per canonical arc against
@@ -267,7 +239,7 @@ func resolveDelta(base *egraph.IntEvolvingGraph, delta []egraph.ArcDelta) []reso
 		ts := base.StampOf(k.t)
 		present := ts >= 0 && base.HasEdge(k.u, k.v, int32(ts))
 		if del == present { // real removal or real insertion only
-			ops = append(ops, resolvedOp{u: k.u, v: k.v, label: k.t, del: del})
+			ops = append(ops, resolvedOp{u: k.u, v: k.v})
 		}
 	}
 	return ops
@@ -284,12 +256,10 @@ func (m *Maintainer) Prime(g *egraph.IntEvolvingGraph) *Results {
 func (m *Maintainer) primeLocked(g *egraph.IntEvolvingGraph) *Results {
 	res := &Results{n: g.NumNodes(), t: g.NumStamps(), KatzAlpha: m.cfg.KatzAlpha,
 		axisChanged: true, partitionChanged: true}
-	m.uf = m.weakRebuild(g)
-	res.comp, res.WeakSizes, res.WeakCount = m.weakLabels(g, m.uf)
+	res.comp, res.WeakSizes, res.WeakCount = m.weakLabels(g, weakRebuild(g))
 	for mode := 0; mode < 2; mode++ {
 		res.katz[mode] = m.katzRecompute(g, katzMode(mode))
 	}
-	m.weakFull.Add(1)
 	m.katzFull.Add(1)
 	m.katzDrift = [2]float64{}
 	m.g = g
@@ -334,16 +304,12 @@ func (m *Maintainer) Apply(base, g *egraph.IntEvolvingGraph, delta []egraph.ArcD
 	// can only change at these nodes, and every changed static or
 	// causal row belongs to one of them.
 	touched := make(map[int32]struct{}, 2*len(ops))
-	hasDel := false
 	for _, op := range ops {
 		touched[op.u] = struct{}{}
 		touched[op.v] = struct{}{}
-		if op.del {
-			hasDel = true
-		}
 	}
 
-	m.applyWeak(base, g, ops, touched, hasDel, res)
+	res.comp, res.WeakSizes, res.WeakCount = m.weakLabels(g, weakRebuild(g))
 	m.applyKatz(base, g, touched, res)
 
 	// Classify which new components hold a delta endpoint — the

@@ -71,6 +71,11 @@ const KatzDriftBudget = 1e-13
 // budget (see katzCorrect).
 const katzPruneTerms = 16
 
+// katzDirtyFraction is the fraction of the temporal-node id space past
+// which an epoch's dirty rows make the correction series start from a
+// full recompute instead.
+const katzDirtyFraction = 0.25
+
 // katzRecompute is the full-recompute path (and fallback): the verbatim
 // oracle iteration at the maintained alpha.
 func (m *Maintainer) katzRecompute(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []float64 {
@@ -106,7 +111,7 @@ func (m *Maintainer) applyKatz(base, g *egraph.IntEvolvingGraph, touched map[int
 		}
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	tooDirty := float64(len(dirty)) > m.cfg.KatzDirtyThreshold*float64(dim)
+	tooDirty := float64(len(dirty)) > katzDirtyFraction*float64(dim)
 
 	width := n
 	if oldN < width {

@@ -1,50 +1,5 @@
 package inc
 
-// Incremental weak components. The maintained invariant: after every
-// Apply, m.uf partitions the current graph's active temporal nodes
-// exactly as a from-scratch union-find over its CSR would
-// (components.weakCSR — the oracle). Three regimes:
-//
-//   - Add-only epoch on an unchanged axis: absorb in place. One Union
-//     per inserted arc, plus causal chain links for every newly
-//     activated (node, stamp) slot — near-O(α) per event.
-//   - Epoch with deletions (or axis churn): first examine every
-//     connection a deletion might have severed (weakSuspects) with
-//     bounded searches in the new graph (weakExam). Endpoints that
-//     reconnect join the examined remainder; a conclusive disconnect
-//     fully enumerates the smaller side — an exact new component, kept
-//     as a "piece". The old partition then carries onto the new axis
-//     as the candidate, with piece rows split out: rows of enumerated
-//     pieces union only among themselves, everything else unions by
-//     its old set, and rows without an active base counterpart are
-//     rescanned. Deletions inside a well-connected component — the
-//     common live-ingest case — reconnect within a few hops, and even
-//     genuine splits stay delta-proportional as long as the smaller
-//     side is small.
-//   - Only an over-budget examination (or an oversized suspect set)
-//     falls back to the full rebuild.
-//
-// Why the candidate is exact: every union comes from an old arc or
-// causal chain (same old set), this epoch's insertions, a rescanned
-// row, or a piece. Insertions, rescanned rows and old arcs that
-// survived are arcs of g; piece members were enumerated as one g
-// component; and a node's surviving stamps always re-chain in g
-// (consecutive causal links span deactivated gaps). So every union is
-// realised by a path in g. Conversely no g connection is missed: each
-// old set's non-piece survivors are one g component — every severed
-// connection produced a suspect pair, and the examination pieces off
-// every split part that does not reconnect with the remainder — and
-// arcs g gained are the insertion/rescan unions. Pieces are exact by
-// enumeration.
-//
-// Forest hygiene: an epoch that deactivates any row (or splits any
-// set) rebuilds the forest from per-set representatives, so a row
-// that is inactive afterwards is always a singleton — reactivating it
-// later can never drag stale memberships in. Same-axis epochs with no
-// deactivations mutate the forest in place; pure stamp-axis growth
-// carries it by id remap (ds.UnionFind.Remap). Both preserve the
-// singleton invariant.
-
 import (
 	"fmt"
 	"sort"
@@ -58,7 +13,7 @@ import (
 // components.weakCSR. Consecutive-mode causal links suffice: a node's
 // active stamps chain into one set either way, so weak connectivity is
 // mode-independent (which the oracle relies on too).
-func (m *Maintainer) weakRebuild(g *egraph.IntEvolvingGraph) *ds.UnionFind {
+func weakRebuild(g *egraph.IntEvolvingGraph) *ds.UnionFind {
 	csr := g.CSR()
 	n := int32(csr.N)
 	uf := ds.NewUnionFind(csr.Size())
@@ -72,515 +27,6 @@ func (m *Maintainer) weakRebuild(g *egraph.IntEvolvingGraph) *ds.UnionFind {
 		}
 	}
 	return uf
-}
-
-// applyWeak rolls the weak partition from base to g and fills in the
-// partition fields of res.
-func (m *Maintainer) applyWeak(base, g *egraph.IntEvolvingGraph, ops []resolvedOp,
-	touched map[int32]struct{}, hasDel bool, res *Results) {
-	if hasDel || res.axisChanged {
-		m.uf = m.weakRecheck(base, g, ops, touched, res.axisChanged)
-	} else {
-		m.weakAbsorb(base, g, ops, touched)
-		m.weakInc.Add(1)
-	}
-	res.comp, res.WeakSizes, res.WeakCount = m.weakLabels(g, m.uf)
-}
-
-// weakFallback abandons the incremental path for this epoch: a full
-// rebuild, which also leaves a forest with every inactive id singleton.
-func (m *Maintainer) weakFallback(g *egraph.IntEvolvingGraph) *ds.UnionFind {
-	m.weakFull.Add(1)
-	return m.weakRebuild(g)
-}
-
-// weakAbsorb handles the add-only same-axis epoch: the old partition
-// can only coarsen, so m.uf is updated in place.
-func (m *Maintainer) weakAbsorb(base, g *egraph.IntEvolvingGraph, ops []resolvedOp,
-	touched map[int32]struct{}) {
-	n := g.NumNodes()
-	uf := m.uf
-	for _, op := range ops {
-		ts := g.StampOf(op.label)
-		uf.Union(ts*n+int(op.u), ts*n+int(op.v))
-	}
-	// Newly activated slots join their node's causal chain.
-	for w := range touched {
-		for _, ts := range g.ActiveStamps(w) {
-			if base.IsActive(w, ts) {
-				continue
-			}
-			id := int(ts)*n + int(w)
-			if prev := g.PrevActiveStamp(w, ts); prev >= 0 {
-				uf.Union(id, int(prev)*n+int(w))
-			}
-			if next := g.NextActiveStamp(w, ts); next >= 0 {
-				uf.Union(id, int(next)*n+int(w))
-			}
-		}
-	}
-}
-
-// weakRecheck re-derives connectivity after deletions or axis churn:
-// suspects are examined first (splitting off exact pieces), then the
-// old partition carries onto the new axis as the candidate — in place,
-// by forest remap, or from per-set representatives, depending on what
-// the epoch changed — and rows without an active base counterpart are
-// rescanned (see the package comment for the soundness argument).
-func (m *Maintainer) weakRecheck(base, g *egraph.IntEvolvingGraph, ops []resolvedOp,
-	touched map[int32]struct{}, axisChanged bool) *ds.UnionFind {
-	csr := g.CSR()
-	n := int32(csr.N)
-	oldN := base.NumNodes()
-	dim := csr.Size()
-
-	// Stamp-index maps in both directions, by label.
-	newToOld := make([]int, g.NumStamps())
-	for t := range newToOld {
-		newToOld[t] = base.StampOf(g.TimeLabel(t))
-	}
-	oldToNew := make([]int, base.NumStamps())
-	allOldStamps := true
-	for t := range oldToNew {
-		oldToNew[t] = g.StampOf(base.TimeLabel(t))
-		if oldToNew[t] < 0 {
-			allOldStamps = false
-		}
-	}
-
-	// Examine every connection a deletion might have severed before any
-	// candidate work: examination only reads g's CSR, so an over-budget
-	// epoch (or an oversized suspect set) rebuilds without paying for a
-	// candidate it would throw away.
-	suspects, dead, ok := weakSuspects(base, g, ops, touched, oldToNew)
-	if !ok {
-		return m.weakFallback(g)
-	}
-	budget := int(m.cfg.ChurnThreshold * float64(g.NumActiveNodes()))
-	if budget < 4096 {
-		budget = 4096
-	}
-	exam := newWeakExam(csr, budget)
-	for _, p := range suspects {
-		if !exam.pair(p.a, p.b) {
-			return m.weakFallback(g)
-		}
-	}
-
-	// Candidate partition: old connectivity carried onto the new axis.
-	// A clean epoch — nothing deactivated, nothing split — keeps the
-	// forest: in place on the same axis, by id remap when only new
-	// stamps appeared. Otherwise the forest is rebuilt from per-set
-	// representatives with enumerated pieces split out, which leaves
-	// every inactive id a singleton again.
-	clean := len(dead) == 0 && exam.pieces == 0
-	var uf *ds.UnionFind
-	switch {
-	case clean && !axisChanged:
-		m.weakAbsorb(base, g, ops, touched)
-		m.weakInc.Add(1)
-		return m.uf
-	case clean && int(n) == oldN && allOldStamps:
-		on := oldN
-		uf = m.uf.Remap(dim, func(id int) int {
-			return oldToNew[id/on]*on + id%on
-		})
-	default:
-		uf = ds.NewUnionFind(dim)
-		rootRep := make(map[int]int)
-		pieceRep := make(map[int32]int)
-		for id := csr.Active.NextSet(0); id >= 0; id = csr.Active.NextSet(id + 1) {
-			if c, known := exam.comp[int32(id)]; known && c >= 0 {
-				// An enumerated piece is exactly one g component: union
-				// within it, never through the old set it split from.
-				if rep, seen := pieceRep[c]; seen {
-					uf.Union(id, rep)
-				} else {
-					pieceRep[c] = id
-				}
-				continue
-			}
-			v := int32(id) % n
-			ts := int32(id) / n
-			oldTs := newToOld[ts]
-			if int(v) >= oldN || oldTs < 0 || !base.IsActive(v, int32(oldTs)) {
-				continue // no counterpart: rescanned below
-			}
-			r := m.uf.Find(oldTs*oldN + int(v))
-			if rep, seen := rootRep[r]; seen {
-				uf.Union(id, rep)
-			} else {
-				rootRep[r] = id
-			}
-		}
-	}
-
-	// Coarsen by this epoch's insertions, then rescan every row with no
-	// active base counterpart in both static and both causal directions.
-	// Activity only changes at delta endpoints, and every row of a new
-	// stamp or new node holds an inserted arc, so the touched nodes'
-	// stamps cover the whole rescan set.
-	for _, op := range ops {
-		if op.del {
-			continue
-		}
-		ts := int32(g.StampOf(op.label))
-		uf.Union(int(ts*n+op.u), int(ts*n+op.v))
-	}
-	for w := range touched {
-		if int(w) >= int(n) {
-			continue
-		}
-		for _, ts := range g.ActiveStamps(w) {
-			oldTs := newToOld[ts]
-			if int(w) < oldN && oldTs >= 0 && base.IsActive(w, int32(oldTs)) {
-				continue
-			}
-			id := ts*n + w
-			for _, nb := range csr.OutArcs(id) {
-				uf.Union(int(id), int(nb))
-			}
-			for _, nb := range csr.InArcs(id) {
-				uf.Union(int(id), int(nb))
-			}
-			stamps, v := csr.CausalArcs(id, true, true)
-			for _, s := range stamps {
-				uf.Union(int(id), int(s*n+v))
-			}
-			stamps, v = csr.CausalArcs(id, false, true)
-			for _, s := range stamps {
-				uf.Union(int(id), int(s*n+v))
-			}
-		}
-	}
-
-	m.weakInc.Add(1)
-	return uf
-}
-
-// idPair is a connection to re-examine: two active rows of g.
-type idPair struct{ a, b int32 }
-
-// weakSuspects lists the connections this epoch's deletions might have
-// severed: the endpoints of every deleted arc that are both still
-// active, and — for rows that vanished entirely — a chain across the
-// surviving neighbours of each connected group of vanished rows (any
-// old path through the group entered and left via those neighbours;
-// one representative per surviving node suffices, its own stamps
-// re-chain causally). dead lists this epoch's vanished rows as base
-// ids — a non-empty list forces the caller to rebuild the forest from
-// representatives, keeping vanished ids singletons. ok is false when
-// the suspect set itself is too large to be worth examining.
-func weakSuspects(base, g *egraph.IntEvolvingGraph, ops []resolvedOp,
-	touched map[int32]struct{}, oldToNew []int) (suspects []idPair, dead []int32, ok bool) {
-	csr := g.CSR()
-	n := g.NumNodes()
-	oldN := base.NumNodes()
-
-	// aliveRow maps a base-active row to its row in g, if still active.
-	aliveRow := func(w, bts int32) (int32, bool) {
-		if int(w) >= n {
-			return -1, false
-		}
-		nts := oldToNew[bts]
-		if nts < 0 {
-			return -1, false
-		}
-		id := int32(nts)*int32(n) + w
-		return id, csr.ActPos[id] >= 0
-	}
-
-	// Vanished rows (base-active, gone from g) — only delta endpoints
-	// can lose activity, so the touched set covers them all.
-	const maxDead = 1 << 14
-	deadIdx := make(map[int32]int32)
-	for w := range touched {
-		if int(w) >= oldN {
-			continue
-		}
-		for _, bts := range base.ActiveStamps(w) {
-			if _, alive := aliveRow(w, bts); alive {
-				continue
-			}
-			if len(dead) >= maxDead {
-				return nil, nil, false
-			}
-			oldId := bts*int32(oldN) + w
-			deadIdx[oldId] = int32(len(dead))
-			dead = append(dead, oldId)
-		}
-	}
-
-	if len(dead) > 0 {
-		bcsr := base.CSR()
-		groups := ds.NewUnionFind(len(dead))
-		// Group vanished rows adjacent in base: via a static arc, or as
-		// consecutive active stamps of one node (the base causal chain).
-		for i, oldId := range dead {
-			for _, nb := range bcsr.OutArcs(oldId) {
-				if j, isDead := deadIdx[nb]; isDead {
-					groups.Union(i, int(j))
-				}
-			}
-			for _, nb := range bcsr.InArcs(oldId) {
-				if j, isDead := deadIdx[nb]; isDead {
-					groups.Union(i, int(j))
-				}
-			}
-		}
-		for w := range touched {
-			if int(w) >= oldN {
-				continue
-			}
-			prev := int32(-1)
-			for _, bts := range base.ActiveStamps(w) {
-				j, isDead := deadIdx[bts*int32(oldN)+w]
-				if isDead {
-					if prev >= 0 {
-						groups.Union(int(prev), int(j))
-					}
-					prev = j
-				} else {
-					prev = -1
-				}
-			}
-		}
-		// Each group's boundary: surviving mapped static neighbours,
-		// plus one representative row per group member's node that is
-		// still active anywhere (its causal chain reaches the rest).
-		boundary := make(map[int][]int32)
-		for i, oldId := range dead {
-			r := groups.Find(i)
-			w := oldId % int32(oldN)
-			for _, nb := range bcsr.OutArcs(oldId) {
-				if id, alive := aliveRow(nb%int32(oldN), nb/int32(oldN)); alive {
-					boundary[r] = append(boundary[r], id)
-				}
-			}
-			for _, nb := range bcsr.InArcs(oldId) {
-				if id, alive := aliveRow(nb%int32(oldN), nb/int32(oldN)); alive {
-					boundary[r] = append(boundary[r], id)
-				}
-			}
-			if int(w) < n {
-				if act := g.ActiveStamps(w); len(act) > 0 {
-					boundary[r] = append(boundary[r], act[0]*int32(n)+w)
-				}
-			}
-		}
-		for _, b := range boundary {
-			sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-			for i := 1; i < len(b); i++ {
-				if b[i] != b[i-1] {
-					suspects = append(suspects, idPair{a: b[i-1], b: b[i]})
-				}
-			}
-		}
-	}
-
-	// Deleted arcs whose rows both survived.
-	for _, op := range ops {
-		if !op.del {
-			continue
-		}
-		nts := int32(g.StampOf(op.label))
-		if nts < 0 || int(op.u) >= n || int(op.v) >= n {
-			continue // stamp or node vanished: rows dead, handled above
-		}
-		a, b := nts*int32(n)+op.u, nts*int32(n)+op.v
-		if csr.ActPos[a] >= 0 && csr.ActPos[b] >= 0 {
-			suspects = append(suspects, idPair{a: a, b: b})
-		}
-	}
-	const maxSuspects = 1 << 13
-	if len(suspects) > maxSuspects {
-		return nil, nil, false
-	}
-	return suspects, dead, true
-}
-
-// weakExam classifies the rows of suspect pairs into exact components
-// of g with bounded searches over its undirected flat view. Rows land
-// either in the anchor component (-1) — the one component the first
-// examined pair bootstraps, never fully enumerated — or in a numbered
-// piece: a component a conclusive disconnect exhausted, known member
-// by member. Markings are memoised, so a later search stops as soon as
-// it touches any already-classified row. All searches draw on one
-// shared budget; pair returns false once it runs out.
-type weakExam struct {
-	csr    *egraph.CSR
-	n      int32
-	comp   map[int32]int32 // row → -1 (anchor component) or piece index
-	pieces int32
-	booted bool
-	budget int
-}
-
-func newWeakExam(csr *egraph.CSR, budget int) *weakExam {
-	return &weakExam{csr: csr, n: int32(csr.N), comp: make(map[int32]int32), budget: budget}
-}
-
-// neighbors visits id's undirected flat-view neighbourhood.
-func (e *weakExam) neighbors(id int32, fn func(int32)) {
-	for _, nb := range e.csr.OutArcs(id) {
-		fn(nb)
-	}
-	for _, nb := range e.csr.InArcs(id) {
-		fn(nb)
-	}
-	stamps, v := e.csr.CausalArcs(id, true, true)
-	for _, s := range stamps {
-		fn(s*e.n + v)
-	}
-	stamps, v = e.csr.CausalArcs(id, false, true)
-	for _, s := range stamps {
-		fn(s*e.n + v)
-	}
-}
-
-// pair examines one suspect connection. After it returns true, both
-// endpoints are classified; false means the budget ran out and the
-// caller must fall back.
-func (e *weakExam) pair(a, b int32) bool {
-	if !e.booted {
-		if !e.boot(a, b) {
-			return false
-		}
-		e.booted = true
-		return true
-	}
-	if _, known := e.comp[a]; !known {
-		if !e.settle(a) {
-			return false
-		}
-	}
-	if _, known := e.comp[b]; !known {
-		if !e.settle(b) {
-			return false
-		}
-	}
-	return true
-}
-
-// boot examines the first pair bidirectionally, always expanding the
-// smaller frontier. Meeting proves one component — it becomes the
-// anchor. A side exhausting without meeting is a fully enumerated
-// piece; the other, partially explored side anchors the remainder.
-func (e *weakExam) boot(a, b int32) bool {
-	if a == b {
-		e.comp[a] = -1
-		return true
-	}
-	seen := map[int32]int8{a: 1, b: 2}
-	va, vb := []int32{a}, []int32{b}
-	fa, fb := []int32{a}, []int32{b}
-	e.budget -= 2
-	met := false
-	for len(fa) > 0 && len(fb) > 0 && !met {
-		cur, s := fa, int8(1)
-		if len(fb) < len(fa) {
-			cur, s = fb, 2
-		}
-		var next []int32
-		for _, id := range cur {
-			e.neighbors(id, func(nb int32) {
-				if met {
-					return
-				}
-				if prev, ok := seen[nb]; ok {
-					if prev != s {
-						met = true
-					}
-					return
-				}
-				seen[nb] = s
-				next = append(next, nb)
-			})
-			if met {
-				break
-			}
-		}
-		e.budget -= len(next)
-		if e.budget <= 0 {
-			return false
-		}
-		if s == 1 {
-			fa = next
-			va = append(va, next...)
-		} else {
-			fb = next
-			vb = append(vb, next...)
-		}
-	}
-	if met {
-		for _, id := range va {
-			e.comp[id] = -1
-		}
-		for _, id := range vb {
-			e.comp[id] = -1
-		}
-		return true
-	}
-	exhausted, rest := va, vb
-	if len(fb) == 0 {
-		exhausted, rest = vb, va
-	}
-	p := e.pieces
-	e.pieces++
-	for _, id := range exhausted {
-		e.comp[id] = p
-	}
-	for _, id := range rest {
-		e.comp[id] = -1
-	}
-	return true
-}
-
-// settle classifies one unclassified row: a search from it either
-// touches an already-classified row — same component, adopt its class
-// for everything visited — or exhausts, enumerating a new piece.
-func (e *weakExam) settle(w int32) bool {
-	adopt := int32(-2)
-	visited := []int32{w}
-	frontier := []int32{w}
-	seen := map[int32]struct{}{w: {}}
-	e.budget--
-	for len(frontier) > 0 && adopt == -2 {
-		var next []int32
-		for _, id := range frontier {
-			e.neighbors(id, func(nb int32) {
-				if adopt != -2 {
-					return
-				}
-				if c, known := e.comp[nb]; known {
-					adopt = c
-					return
-				}
-				if _, ok := seen[nb]; ok {
-					return
-				}
-				seen[nb] = struct{}{}
-				next = append(next, nb)
-			})
-			if adopt != -2 {
-				break
-			}
-		}
-		e.budget -= len(next)
-		if e.budget <= 0 {
-			return false
-		}
-		visited = append(visited, next...)
-		frontier = next
-	}
-	if adopt == -2 {
-		adopt = e.pieces
-		e.pieces++
-	}
-	for _, id := range visited {
-		e.comp[id] = adopt
-	}
-	return true
 }
 
 // weakLabels derives the canonical labelling from a union-find: comp

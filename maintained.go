@@ -1,12 +1,13 @@
 package evolving
 
-// The incrementally maintained analytics surface: a Maintainer rolls
-// weak components and temporal Katz forward epoch by epoch at
-// delta-proportional cost instead of recomputing them from scratch
-// (internal/inc, DESIGN.md §13). Hand one to the ingest write path and
-// every compaction publishes maintained results alongside the patched
-// graph; the query service then serves /components/weak and /katz from
-// them and carries provably unaffected cache entries across the swap.
+// The maintained analytics surface: a Maintainer recomputes weak
+// components in one linear pass per epoch and rolls temporal Katz
+// forward at delta-proportional cost instead of recomputing it from
+// scratch (internal/inc, DESIGN.md §13). Hand one to the ingest write
+// path and every compaction publishes maintained results alongside the
+// patched graph; the query service then serves /components/weak and
+// /katz from them and carries provably unaffected cache entries across
+// the swap.
 //
 //	srv := evolving.NewQueryServer(g, evolving.ServerConfig{})
 //	log, _ := evolving.NewIngestLog(srv, evolving.IngestConfig{
@@ -26,8 +27,7 @@ import (
 // ArcDelta epochs; construct with NewMaintainer.
 type Maintainer = inc.Maintainer
 
-// MaintainerConfig tunes a Maintainer (Katz alpha, churn thresholds
-// past which it falls back to the verbatim full recomputations).
+// MaintainerConfig tunes a Maintainer: the Katz alpha it maintains.
 type MaintainerConfig = inc.Config
 
 // MaintainedResults is one epoch's maintained output: the weak
@@ -35,8 +35,8 @@ type MaintainerConfig = inc.Config
 // classification behind the cache carry-over.
 type MaintainedResults = inc.Results
 
-// MaintainerStats counts how epochs were absorbed (incremental vs
-// full-recompute fallback), surfaced under /ingest/stats.
+// MaintainerStats counts epochs and how many of them absorbed Katz
+// incrementally vs recomputed it, surfaced under /ingest/stats.
 type MaintainerStats = inc.Stats
 
 // MaintainerSeriesTol is the truncation tolerance of the maintained
