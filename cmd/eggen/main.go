@@ -1,11 +1,13 @@
 // Command eggen generates evolving-graph workloads and writes them as
-// edge lists (or JSON), so egbfs/citemine and external tooling can share
-// inputs. It also prints the graph's summary statistics to stderr.
+// edge lists, so egbfs/citemine and external tooling can share inputs.
+// It also prints the graph's summary statistics to stderr. Parameters a
+// generator rejects (say -nodes 0) are a usage error: one line on
+// stderr and exit status 2.
 //
 // Usage:
 //
 //	eggen -model random -nodes 1000 -stamps 10 -edges 5000 [-seed 1]
-//	      [-undirected] [-json] [-o out.txt]
+//	      [-undirected] [-o out.txt]
 //	eggen -model gnp -nodes 100 -stamps 5 -p 0.05
 //	eggen -model pa -nodes 1000 -stamps 10 -m 3
 //	eggen -model citation -nodes 300 -stamps 12
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	evolving "repro"
 )
@@ -30,11 +33,23 @@ func main() {
 		m          = flag.Int("m", 3, "pa: edges per arriving node")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		undirected = flag.Bool("undirected", false, "undirected edges (random/gnp)")
-		asJSON     = flag.Bool("json", false, "emit JSON instead of edge list")
 		out        = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
 
+	defer func() {
+		// The generators panic on parameters outside their domain, with
+		// a "gen: " message naming them; that is the user's input, not
+		// a bug, so report it as one.
+		if r := recover(); r != nil {
+			msg, ok := r.(string)
+			if !ok || !strings.HasPrefix(msg, "gen: ") {
+				panic(r)
+			}
+			fmt.Fprintf(os.Stderr, "eggen: %s\n", strings.TrimPrefix(msg, "gen: "))
+			os.Exit(2)
+		}
+	}()
 	var g *evolving.Graph
 	switch *model {
 	case "random":
@@ -65,13 +80,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	var err error
-	if *asJSON {
-		err = evolving.WriteJSON(w, g)
-	} else {
-		err = evolving.WriteEdgeList(w, g)
-	}
-	if err != nil {
+	if err := evolving.WriteEdgeList(w, g); err != nil {
 		fail("write: %v", err)
 	}
 	fmt.Fprint(os.Stderr, g.Stats())

@@ -1012,8 +1012,8 @@ func printReport(rep *report) {
 			100*rep.CacheHitRate, c.Hits, c.Misses, c.Collapsed, c.Entries, c.Evictions,
 			rep.ServerMetrics.InFlight, rep.ServerMetrics.MaxInFlight)
 		if ig := rep.ServerMetrics.Ingest; ig != nil {
-			fmt.Printf("server ingest: appended=%d pending=%d epochs=%d (patch=%d full=%d) compacted=%d throttled=%d lastCompact=%.1fms lastCsrBuild=%.1fms lastVisible=%.1fms\n",
-				ig.AppendedEvents, ig.PendingEvents, ig.Epochs, ig.PatchEpochs, ig.FullRebuildEpochs,
+			fmt.Printf("server ingest: appended=%d pending=%d epochs=%d (patch=%d) compacted=%d throttled=%d lastCompact=%.1fms lastCsrBuild=%.1fms lastVisible=%.1fms\n",
+				ig.AppendedEvents, ig.PendingEvents, ig.Epochs, ig.PatchEpochs,
 				ig.CompactedEvents, ig.ThrottledBatches, ig.LastCompactMs, ig.LastCSRBuildMs, ig.LastVisibleMs)
 		}
 	}

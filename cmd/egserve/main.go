@@ -17,7 +17,7 @@
 //	        [-wal events.wal] [-fsync interval] [-fsync-interval 100ms]
 //	        [-compact-every 4096] [-compact-interval 2s] [-max-pending 65536]
 //	        [-checkpoint auto] [-checkpoint-every 8] [-checkpoint-interval 60s]
-//	        [-full-rebuild] [-inc=true] [-write-timeout 0] [-shutdown-timeout 10s]
+//	        [-inc=true] [-write-timeout 0] [-shutdown-timeout 10s]
 //	        [-pprof localhost:6060] [-trace-sample 64] [-trace-slow 250ms]
 //	        [-fault scenario] [-serve-stale]
 //
@@ -133,7 +133,6 @@ func main() {
 		ckptStallRename = flag.Duration("checkpoint-stall-rename", 0, "fault injection: stall after the checkpoint sync, before the rename (crash-test hook)")
 		faultSpec       = flag.String("fault", "", "fault-injection scenario: a named scenario (disk-full, fsync-stall, conn-flap, slow-compute), a scenario file, or inline text (internal/fault DSL); empty disables")
 		serveStale      = flag.Bool("serve-stale", false, "degraded read mode: serve the last good cached answer (X-Cache: stale) when a compute fails server-side or its deadline budget runs out")
-		fullRebuild     = flag.Bool("full-rebuild", false, "compact via the full Fold rebuild instead of the incremental Patch (the differential oracle; slower, same results)")
 		incAnalytics    = flag.Bool("inc", true, "recompute weak components and maintain temporal Katz incrementally across compactions; /components/weak and /katz serve the maintained results")
 
 		writeTimeout    = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none; cold analytics queries can be slow)")
@@ -319,7 +318,6 @@ func main() {
 			// removed); on a checkpoint boot this is the checkpoint's
 			// label set plus the tail's.
 			ExtraLabels:           res.ExtraLabels,
-			UseFullRebuild:        *fullRebuild,
 			Analytics:             maint,
 			CheckpointPath:        ckptPath,
 			CheckpointEvery:       *checkpointEvery,

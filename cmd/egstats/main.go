@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	egstats -graph g.txt [-undirected] [-binary] [-full] [-workers N]
+//	egstats -graph g.txt [-undirected] [-full] [-workers N]
 //
 // -full adds the O(|V|·|E|) analyses (diameter, closeness top-5,
 // out-component profile); omit it for very large graphs.
@@ -23,7 +23,6 @@ func main() {
 	var (
 		graphPath  = flag.String("graph", "", "graph file (required)")
 		undirected = flag.Bool("undirected", false, "treat edges as undirected")
-		binary     = flag.Bool("binary", false, "input is the binary format")
 		full       = flag.Bool("full", false, "run the all-sources analyses too")
 		workers    = flag.Int("workers", 0, "workers for the all-sources sweep")
 	)
@@ -36,12 +35,7 @@ func main() {
 	if err != nil {
 		fail("open: %v", err)
 	}
-	var g *evolving.Graph
-	if *binary {
-		g, err = evolving.ReadBinary(f)
-	} else {
-		g, err = evolving.ReadEdgeList(f, !*undirected)
-	}
+	g, err := evolving.ReadEdgeList(f, !*undirected)
 	f.Close()
 	if err != nil {
 		fail("parse: %v", err)
@@ -51,8 +45,12 @@ func main() {
 	fmt.Printf("  temporal DAG:           %v\n", evolving.IsTemporalDAG(g))
 
 	weak := evolving.WeakComponents(g, evolving.CausalAllPairs)
+	largest := 0
+	if len(weak) > 0 {
+		largest = len(weak[0])
+	}
 	fmt.Printf("  weak components:        %d (largest %d temporal nodes)\n",
-		len(weak), len(weak[0]))
+		len(weak), largest)
 	sccs := evolving.StrongComponents(g, 2)
 	fmt.Printf("  nontrivial SCCs:        %d\n", len(sccs))
 

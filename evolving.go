@@ -432,27 +432,9 @@ func TemporalKatz(g *Graph, opts KatzOptions) ([]float64, error) {
 	return rank.TemporalKatz(g, opts)
 }
 
-// Serialization.
+// ReadEdgeList parses the "u v t [w]" text format, the input format of
+// every command's -graph flag.
 func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) { return egio.ReadEdgeList(r, directed) }
 
 // WriteEdgeList writes the "u v t [w]" text format.
 func WriteEdgeList(w io.Writer, g *Graph) error { return egio.WriteEdgeList(w, g) }
-
-// ReadJSON decodes the JSON document format.
-func ReadJSON(r io.Reader) (*Graph, error) { return egio.ReadJSON(r) }
-
-// WriteJSON encodes the JSON document format.
-func WriteJSON(w io.Writer, g *Graph) error { return egio.WriteJSON(w, g) }
-
-// ReadBinary decodes the compact binary format.
-func ReadBinary(r io.Reader) (*Graph, error) { return egio.ReadBinary(r) }
-
-// WriteBinary encodes the compact binary format.
-func WriteBinary(w io.Writer, g *Graph) error { return egio.WriteBinary(w, g) }
-
-// DOTOptions configures Graphviz export.
-type DOTOptions = egio.DOTOptions
-
-// WriteDOT renders the graph in Graphviz DOT form (one cluster per
-// stamp, causal edges dashed — the paper's Fig. 4 layout).
-func WriteDOT(w io.Writer, g *Graph, opts DOTOptions) error { return egio.WriteDOT(w, g, opts) }

@@ -156,12 +156,4 @@ func TestPublicAPIIO(t *testing.T) {
 	if g2.StaticEdgeCount() != 3 {
 		t.Fatal("edge-list round trip wrong")
 	}
-	buf.Reset()
-	if err := evolving.WriteJSON(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g3, err := evolving.ReadJSON(&buf)
-	if err != nil || g3.StaticEdgeCount() != 3 {
-		t.Fatal("JSON round trip wrong")
-	}
 }

@@ -3,7 +3,6 @@ package evolving_test
 import (
 	"fmt"
 	"log"
-	"os"
 
 	evolving "repro"
 )
@@ -90,24 +89,4 @@ func ExampleNewLabeledGraph() {
 	fmt.Println("temporal nodes influenced:", res.NumReached())
 	// Output:
 	// temporal nodes influenced: 4
-}
-
-// Exporting the Fig. 1 graph for Graphviz.
-func ExampleWriteDOT() {
-	g := evolving.Figure1Graph()
-	err := evolving.WriteDOT(os.Stdout, g.Slice(1, 1), evolving.DOTOptions{Name: "t1"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Output:
-	// digraph "t1" {
-	// 	rankdir=LR;
-	// 	node [shape=circle];
-	// 	subgraph "cluster_t0" {
-	// 		label="t=1";
-	// 		n0_t0 [label="0", style=filled, fillcolor=palegreen];
-	// 		n1_t0 [label="1", style=filled, fillcolor=palegreen];
-	// 		n0_t0 -> n1_t0;
-	// 	}
-	// }
 }

@@ -1,7 +1,6 @@
 package evolving_test
 
 import (
-	"bytes"
 	"testing"
 
 	evolving "repro"
@@ -94,18 +93,6 @@ func TestPublicAPITraversalExtensions(t *testing.T) {
 	}
 	if evolving.TemporalDiameter(g, evolving.CausalAllPairs) != 3 {
 		t.Fatal("diameter wrong")
-	}
-}
-
-func TestPublicAPIBinaryIO(t *testing.T) {
-	g := evolving.Figure1Graph()
-	var buf bytes.Buffer
-	if err := evolving.WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := evolving.ReadBinary(&buf)
-	if err != nil || g2.StaticEdgeCount() != 3 {
-		t.Fatal("binary round trip wrong")
 	}
 }
 

@@ -420,8 +420,8 @@ func view[T any](data []byte, off, length uint64) []T {
 // lifetime. The flat CSR view is installed pre-built — Graph.CSR on
 // the result returns the mmap'd sections directly.
 //
-// Errors carry the byte offset and the expected/actual values in the
-// style of ReadBinary, and the validation pass is total: any input for
+// Errors carry the byte offset and the expected/actual values, and the
+// validation pass is total: any input for
 // which ParseCheckpoint returns nil error yields a graph whose query
 // surface cannot index out of bounds.
 func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, error) {

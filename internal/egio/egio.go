@@ -1,17 +1,18 @@
-// Package egio serialises evolving graphs. Two formats are supported:
+// Package egio serialises evolving graphs. It has two formats, each with
+// one job:
 //
-//   - a whitespace edge-list text format, one "u v t [w]" line per static
-//     edge with '#' comments — the lingua franca of graph tooling and the
-//     format cmd/egbfs and cmd/citemine consume;
-//   - a JSON document (Document) for structured interchange.
+//   - the edge list, for input: a whitespace text format, one "u v t [w]"
+//     line per static edge with '#' comments — the lingua franca of graph
+//     tooling and what every command's -graph flag reads;
+//   - EGCP, for durable state: the mmap'd, CRC-checked checkpoint that
+//     ingest writes and a warm restart opens (checkpoint.go).
 //
-// Both round-trip exactly: Read(Write(g)) reproduces the same snapshots,
-// edges, weights and time labels.
+// Both round-trip exactly: reading what was written reproduces the same
+// snapshots, edges, weights and time labels.
 package egio
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -20,10 +21,17 @@ import (
 	"repro/internal/egraph"
 )
 
+// maxNodeID caps the node ids an edge list may name. A graph is dense
+// in its ids — every stamp holds a pointer row per node — so without a
+// cap a one-line file naming node 99999391 asks for gigabytes. The cap
+// is the ingest write path's default Config.MaxNodeID, so a loaded graph
+// never holds a node the service's own writes would refuse.
+const maxNodeID = 1<<24 - 1
+
 // ReadEdgeList parses the text edge-list format: each non-empty,
-// non-comment line is "u v t" or "u v t w" with integer node ids and time
-// label, optional float weight. The graph is weighted iff any line
-// carries a weight.
+// non-comment line is "u v t" or "u v t w" with integer node ids in
+// [0, 1<<24 - 1] and time label, optional float weight. The graph is
+// weighted iff any line carries a weight.
 func ReadEdgeList(r io.Reader, directed bool) (*egraph.IntEvolvingGraph, error) {
 	type edge struct {
 		u, v int32
@@ -67,6 +75,9 @@ func ReadEdgeList(r io.Reader, directed bool) (*egraph.IntEvolvingGraph, error) 
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("egio: line %d: negative node id", lineNo)
 		}
+		if u > maxNodeID || v > maxNodeID {
+			return nil, fmt.Errorf("egio: line %d: node id above %d", lineNo, maxNodeID)
+		}
 		edges = append(edges, edge{int32(u), int32(v), t, w})
 	}
 	if err := sc.Err(); err != nil {
@@ -106,72 +117,4 @@ func WriteEdgeList(w io.Writer, g *egraph.IntEvolvingGraph) error {
 		return fmt.Errorf("egio: write: %w", err)
 	}
 	return bw.Flush()
-}
-
-// Document is the JSON interchange form of an evolving graph.
-type Document struct {
-	Directed bool       `json:"directed"`
-	Weighted bool       `json:"weighted,omitempty"`
-	Edges    []EdgeJSON `json:"edges"`
-}
-
-// EdgeJSON is one static edge of a Document.
-type EdgeJSON struct {
-	U int32   `json:"u"`
-	V int32   `json:"v"`
-	T int64   `json:"t"`
-	W float64 `json:"w,omitempty"`
-}
-
-// ToDocument converts a graph to its JSON form.
-func ToDocument(g *egraph.IntEvolvingGraph) *Document {
-	doc := &Document{Directed: g.Directed(), Weighted: g.Weighted()}
-	for t := int32(0); t < int32(g.NumStamps()); t++ {
-		label := g.TimeLabel(int(t))
-		g.VisitEdges(t, func(u, v int32, w float64) bool {
-			e := EdgeJSON{U: u, V: v, T: label}
-			if g.Weighted() {
-				e.W = w
-			}
-			doc.Edges = append(doc.Edges, e)
-			return true
-		})
-	}
-	return doc
-}
-
-// FromDocument rebuilds a graph from its JSON form.
-func FromDocument(doc *Document) (*egraph.IntEvolvingGraph, error) {
-	var b *egraph.Builder
-	if doc.Weighted {
-		b = egraph.NewWeightedBuilder(doc.Directed)
-	} else {
-		b = egraph.NewBuilder(doc.Directed)
-	}
-	for i, e := range doc.Edges {
-		if e.U < 0 || e.V < 0 {
-			return nil, fmt.Errorf("egio: edge %d: negative node id", i)
-		}
-		w := e.W
-		if !doc.Weighted || w == 0 {
-			w = 1
-		}
-		b.AddWeightedEdge(e.U, e.V, e.T, w)
-	}
-	return b.Build(), nil
-}
-
-// WriteJSON encodes g as a JSON Document.
-func WriteJSON(w io.Writer, g *egraph.IntEvolvingGraph) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(ToDocument(g))
-}
-
-// ReadJSON decodes a JSON Document into a graph.
-func ReadJSON(r io.Reader) (*egraph.IntEvolvingGraph, error) {
-	var doc Document
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("egio: json: %w", err)
-	}
-	return FromDocument(&doc)
 }

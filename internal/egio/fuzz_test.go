@@ -36,56 +36,6 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary asserts the binary decoder never panics on corrupt
-// input and that valid encodings round trip.
-func FuzzReadBinary(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteBinary(&seed, egraph.Figure1Graph()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte("EVGR"))
-	f.Add([]byte("EVGR\x01\x03\x02"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			t.Fatalf("write after successful read: %v", err)
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("reread of own output: %v", err)
-		}
-		if !graphsEqual(g, g2) {
-			t.Fatal("round trip changed graph")
-		}
-	})
-}
-
-// FuzzReadJSON asserts the JSON decoder handles arbitrary input.
-func FuzzReadJSON(f *testing.F) {
-	f.Add([]byte(`{"directed":true,"edges":[{"u":0,"v":1,"t":1}]}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"edges":[{"u":-1,"v":0,"t":0}]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadJSON(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, g); err != nil {
-			t.Fatalf("write after successful read: %v", err)
-		}
-		if _, err := ReadJSON(&buf); err != nil {
-			t.Fatalf("reread of own output: %v", err)
-		}
-	})
-}
-
 // checkpointSeed writes g to a temp file and returns the raw bytes for
 // seeding FuzzCheckpointRead.
 func checkpointSeed(f *testing.F, g *egraph.IntEvolvingGraph, meta CheckpointMeta) []byte {

@@ -151,8 +151,8 @@ func collectArcs(g *IntEvolvingGraph) []ArcDelta {
 	return arcs
 }
 
-// TestPatchEquivalenceRandom races Patch against the full-rebuild
-// oracle across directed/undirected × weighted/unweighted bases under
+// TestPatchEquivalenceRandom races Patch against the foldOracle
+// rebuild across directed/undirected × weighted/unweighted bases under
 // random deltas mixing insertions (including brand-new nodes and
 // labels, mid-axis and appended), removals of existing arcs, removals
 // of absent arcs, and re-adds.

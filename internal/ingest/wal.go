@@ -15,9 +15,9 @@ import (
 	"repro/internal/fault"
 )
 
-// WAL file format — the same length-prefix + CRC framing discipline as
-// the egio binary format, versioned separately because the record
-// payload is an event stream, not a graph:
+// WAL file format — the same magic, version and CRC32 discipline as the
+// EGCP checkpoint layout (internal/egio), framed as length-prefixed
+// records because the payload is an event stream, not a graph:
 //
 //	header  magic "EVWL" | version u8 | reserved u8
 //	record  u32 payload length | u32 CRC32-IEEE(payload) | payload

@@ -1,7 +1,7 @@
 // Package wire defines the EGWP binary wire protocol of the query
 // service: versioned, length-framed, CRC'd request/response records in
-// the same framing discipline as the egio binary format, the ingest
-// WAL and the EGCP checkpoint layout — no external serialisation
+// the same framing discipline as the ingest WAL and the EGCP
+// checkpoint layout — no external serialisation
 // dependency. internal/server serves it on a second listener alongside
 // HTTP (DESIGN.md §15); egclient speaks it from the client side.
 //

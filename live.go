@@ -88,10 +88,9 @@ func OpenWAL(path string, opts WALOptions) (*WAL, *WALRecovery, error) {
 }
 
 // FoldEvents applies an event stream to a base graph and builds the
-// resulting immutable graph from scratch — the full-rebuild fold,
-// exposed for recovery and offline compaction, and the differential
-// oracle of the incremental PatchEvents path
-// (IngestConfig.UseFullRebuild). FoldEvents is the offline way to
+// resulting immutable graph from scratch — the fold that recovery
+// replays through, and the differential oracle the tests hold the
+// incremental PatchEvents path to. FoldEvents is the offline way to
 // change a graph: base is never mutated.
 //
 // The events must be ones IngestLog.Append accepts (node ids in
