@@ -892,8 +892,9 @@ func leastSquares(xs, ys []float64) (a, b, r2 float64) {
 // lets a checkpoint boot skip. The checkpoint covers the base plus a
 // fixed bulk history; each -compactDeltas entry is the WAL tail the
 // checkpoint has not covered yet. Neither timed boot builds the flat
-// CSR view — the server is query-ready before it (EnsureCSR is lazy),
-// and the checkpoint ships its CSR sections zero-copy anyway. Both
+// CSR view: the server is query-ready before it (EnsureCSR is lazy),
+// and the checkpoint does not store one, so the first query pays the
+// same build after either boot. Both
 // boots must produce bit-identical graphs (flat views compared byte
 // for byte) before any time is reported; the ckpt rows carry speedup
 // vs replay and are gated by -failBelow (CI: ≥10x on the

@@ -126,11 +126,9 @@ func main() {
 		compactEvery    = flag.Int("compact-every", 4096, "fold the pending delta after this many events")
 		compactInterval = flag.Duration("compact-interval", 2*time.Second, "fold any pending delta at least this often")
 		maxPending      = flag.Int("max-pending", 1<<16, "pending-delta bound; writes beyond it get 429")
-		checkpoint      = flag.String("checkpoint", "auto", `checkpoint file for O(1) warm restart: "auto" = <wal>.ckpt, "none" disables (needs -wal)`)
+		checkpoint      = flag.String("checkpoint", "auto", `checkpoint file for warm restart: "auto" = <wal>.ckpt, "none" disables (needs -wal)`)
 		checkpointEvery = flag.Int("checkpoint-every", 8, "persist a checkpoint after this many epochs")
 		checkpointIval  = flag.Duration("checkpoint-interval", 60*time.Second, "persist a checkpoint at least this often when new batches were folded")
-		ckptStallWrite  = flag.Duration("checkpoint-stall-write", 0, "fault injection: stall mid-way through the checkpoint body write (crash-test hook)")
-		ckptStallRename = flag.Duration("checkpoint-stall-rename", 0, "fault injection: stall after the checkpoint sync, before the rename (crash-test hook)")
 		faultSpec       = flag.String("fault", "", "fault-injection scenario: a named scenario (disk-full, fsync-stall, conn-flap, slow-compute), a scenario file, or inline text (internal/fault DSL); empty disables")
 		serveStale      = flag.Bool("serve-stale", false, "degraded read mode: serve the last good cached answer (X-Cache: stale) when a compute fails server-side or its deadline budget runs out")
 		incAnalytics    = flag.Bool("inc", true, "recompute weak components and maintain temporal Katz incrementally across compactions; /components/weak and /katz serve the maintained results")
@@ -317,16 +315,14 @@ func main() {
 			// when the fold dropped their stamps (e.g. all arcs
 			// removed); on a checkpoint boot this is the checkpoint's
 			// label set plus the tail's.
-			ExtraLabels:           res.ExtraLabels,
-			Analytics:             maint,
-			CheckpointPath:        ckptPath,
-			CheckpointEvery:       *checkpointEvery,
-			CheckpointInterval:    *checkpointIval,
-			CheckpointStallWrite:  *ckptStallWrite,
-			CheckpointStallRename: *ckptStallRename,
-			LastCheckpointSeq:     res.CheckpointSeq,
-			RecoverPath:           res.Path,
-			TailRecordsReplayed:   res.TailEvents,
+			ExtraLabels:         res.ExtraLabels,
+			Analytics:           maint,
+			CheckpointPath:      ckptPath,
+			CheckpointEvery:     *checkpointEvery,
+			CheckpointInterval:  *checkpointIval,
+			LastCheckpointSeq:   res.CheckpointSeq,
+			RecoverPath:         res.Path,
+			TailRecordsReplayed: res.TailEvents,
 		})
 		if err != nil {
 			log.Fatalf("egserve: %v", err)

@@ -1,11 +1,13 @@
 package egio
 
 // Checkpoint layout (DESIGN.md §14). A checkpoint persists one *built*
-// graph — the per-stamp snapshots plus the flat CSR view — as dense,
-// page-aligned typed sections behind a CRC'd header, section table and
-// footer, so a restarting server can mmap the file and serve straight
-// out of the page cache: no parsing, no rebuild, O(1) work in the
-// graph size.
+// graph — the per-stamp snapshots and the per-node active-stamp rows,
+// the storage Builder.Build produces — as dense, page-aligned typed
+// sections behind a CRC'd header, section table and footer. A
+// restarting server mmaps the file and assembles the graph around the
+// sections without copying; the flat CSR view is not stored, and is
+// built on first use like every other graph's (EnsureCSR). Opening
+// costs the CRCs and the structural checks, O(file size).
 //
 //	header   (64 B)   magic "EGCP", version, flags, byte-order mark,
 //	                  N, T, numActive, walSeq, fileSize, labelCount,
@@ -40,7 +42,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 	"unsafe"
 
 	"repro/internal/ds"
@@ -50,7 +51,7 @@ import (
 
 const (
 	ckptMagic       = "EGCP"
-	ckptVersion     = 1
+	ckptVersion     = 2
 	ckptBOM         = uint32(0x01020304)
 	ckptPage        = 4096
 	ckptHeaderLen   = 64
@@ -62,8 +63,8 @@ const (
 )
 
 // Section kinds, in file order. Snapshot sections concatenate the
-// per-stamp arrays (ptr rows are N+1 entries per stamp); flat sections
-// are the CSR view's arrays verbatim.
+// per-stamp arrays (ptr rows are N+1 entries per stamp); the actPtr and
+// actStamps sections are the per-node active-stamp rows, flattened.
 const (
 	secTimes      = 1  // T × i64 stamp labels, strictly increasing
 	secLabels     = 2  // L × i64 registered ingest labels, strictly increasing
@@ -74,14 +75,8 @@ const (
 	secSnapOutW   = 7  // ΣoutArcs × f64, weighted graphs only
 	secSnapInW    = 8  // ΣinArcs × f64, weighted graphs only
 	secSnapActive = 9  // T × ceil(N/64) × u64 bitset words
-	secFlatOutPtr = 10 // N·T+1 × i64
-	secFlatOutAdj = 11 // ΣoutArcs × i32
-	secFlatInPtr  = 12 // N·T+1 × i64
-	secFlatInAdj  = 13 // ΣinArcs × i32
 	secActPtr     = 14 // N+1 × i32
 	secActStamps  = 15 // numActive × i32
-	secActPos     = 16 // N·T × i32
-	secFlatActive = 17 // ceil(N·T/64) × u64 bitset words
 )
 
 var ckptSectionNames = map[uint32]string{
@@ -90,10 +85,7 @@ var ckptSectionNames = map[uint32]string{
 	secSnapInPtr: "snapInPtr", secSnapInAdj: "snapInAdj",
 	secSnapOutW: "snapOutW", secSnapInW: "snapInW",
 	secSnapActive: "snapActive",
-	secFlatOutPtr: "flatOutPtr", secFlatOutAdj: "flatOutAdj",
-	secFlatInPtr: "flatInPtr", secFlatInAdj: "flatInAdj",
-	secActPtr: "actPtr", secActStamps: "actStamps", secActPos: "actPos",
-	secFlatActive: "flatActive",
+	secActPtr:     "actPtr", secActStamps: "actStamps",
 }
 
 func ckptSectionName(kind uint32) string {
@@ -113,20 +105,14 @@ type CheckpointMeta struct {
 	// at labels whose last arc was removed.
 	Labels []int64
 
-	// StallWrite and StallRename are fault-injection hooks for crash
-	// tests: sleep mid-way through the section writes (partial temp
-	// file on disk) and after fsync but before the rename. Zero in
-	// production. They predate internal/fault and remain as the
-	// flag-level spelling; Faults generalises them.
-	StallWrite  time.Duration
-	StallRename time.Duration
-
 	// Faults, when non-nil, arms the checkpoint writer's injection
-	// sites: ckpt.write (mid-way through the section writes),
-	// ckpt.fsync (before the temp file's fsync) and ckpt.rename
-	// (between fsync and the atomic rename). An injected error aborts
-	// the write exactly like the real failure it models — the previous
-	// checkpoint generation stays intact.
+	// sites: ckpt.write (mid-way through the section writes, with the
+	// partial temp file flushed to disk), ckpt.fsync (before the temp
+	// file's fsync) and ckpt.rename (between fsync and the atomic
+	// rename). An injected error aborts the write exactly like the real
+	// failure it models — the previous checkpoint generation stays
+	// intact — and a delay rule holds the write open at that point, the
+	// window crash tests SIGKILL inside.
 	Faults *fault.Injector
 }
 
@@ -159,30 +145,27 @@ func sliceBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(t)))
 }
 
-// bitsetWords returns exactly want words of the set's storage, copying
-// only if an arena-recapped backing slice is longer than the bit
-// capacity needs.
+// bitsetWords returns exactly want words of the set's storage: a
+// prefix when the backing slice is longer (a set sized for a wider
+// universe), a zero-padded copy when it is shorter.
 func bitsetWords(b *ds.BitSet, want int) []uint64 {
 	w := b.Words()
-	if len(w) == want {
-		return w
+	if len(w) >= want {
+		return w[:want]
 	}
 	out := make([]uint64, want)
 	copy(out, w)
 	return out
 }
 
-// WriteCheckpoint persists g (snapshots + flat CSR view) to path via a
-// temp file and an atomic rename, fsyncing both the file and its
+// WriteCheckpoint persists g (snapshots + active-stamp rows) to path
+// via a temp file and an atomic rename, fsyncing both the file and its
 // directory. It returns the checkpoint's size in bytes. The graph's
-// CSR view is built first if it is not cached yet.
+// flat CSR view is neither needed nor built.
 func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMeta) (int64, error) {
 	raw := g.Raw()
-	csr := g.CSR()
 	n, t := raw.NumNodes, len(raw.Snaps)
 	wN := (n + 63) / 64
-	nt := n * t
-	wNT := (nt + 63) / 64
 
 	labels := append([]int64(nil), meta.Labels...)
 	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
@@ -196,7 +179,7 @@ func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMet
 		flags |= ckptFlagWeighted
 	}
 
-	secs := make([]*ckptSection, 0, 17)
+	secs := make([]*ckptSection, 0, 11)
 	add := func(kind uint32, chunks ...[]byte) {
 		secs = append(secs, &ckptSection{kind: kind, chunks: chunks})
 	}
@@ -210,8 +193,10 @@ func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMet
 	inW := make([][]byte, t)
 	act := make([][]byte, t)
 	for i, s := range raw.Snaps {
-		if len(s.OutPtr) != n+1 || len(s.InPtr) != n+1 {
-			return 0, fmt.Errorf("egio: checkpoint: snapshot %d ptr rows have %d/%d entries, want %d", i, len(s.OutPtr), len(s.InPtr), n+1)
+		// Rows may be wider than n+1 after Patch shrank the universe;
+		// the entries past node n-1 describe no arcs and are not stored.
+		if len(s.OutPtr) < n+1 || len(s.InPtr) < n+1 {
+			return 0, fmt.Errorf("egio: checkpoint: snapshot %d ptr rows have %d/%d entries, want at least %d", i, len(s.OutPtr), len(s.InPtr), n+1)
 		}
 		wantArcs := s.Edges
 		if !raw.Directed {
@@ -220,9 +205,9 @@ func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMet
 		if len(s.OutAdj) != wantArcs {
 			return 0, fmt.Errorf("egio: checkpoint: snapshot %d has %d out-arcs for %d edges (directed=%t)", i, len(s.OutAdj), s.Edges, raw.Directed)
 		}
-		outPtr[i] = sliceBytes(s.OutPtr)
+		outPtr[i] = sliceBytes(s.OutPtr[:n+1])
 		outAdj[i] = sliceBytes(s.OutAdj)
-		inPtr[i] = sliceBytes(s.InPtr)
+		inPtr[i] = sliceBytes(s.InPtr[:n+1])
 		inAdj[i] = sliceBytes(s.InAdj)
 		outW[i] = sliceBytes(s.OutW)
 		inW[i] = sliceBytes(s.InW)
@@ -237,14 +222,14 @@ func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMet
 		add(secSnapInW, inW...)
 	}
 	add(secSnapActive, act...)
-	add(secFlatOutPtr, sliceBytes(csr.OutPtr))
-	add(secFlatOutAdj, sliceBytes(csr.OutAdj))
-	add(secFlatInPtr, sliceBytes(csr.InPtr))
-	add(secFlatInAdj, sliceBytes(csr.InAdj))
-	add(secActPtr, sliceBytes(csr.ActPtr))
-	add(secActStamps, sliceBytes(csr.ActStamps))
-	add(secActPos, sliceBytes(csr.ActPos))
-	add(secFlatActive, sliceBytes(bitsetWords(csr.Active, wNT)))
+	actPtr := make([]int32, n+1)
+	actStamps := make([]int32, 0, raw.NumActive)
+	for v := 0; v < n; v++ {
+		actStamps = append(actStamps, g.ActiveStamps(int32(v))...)
+		actPtr[v+1] = int32(len(actStamps))
+	}
+	add(secActPtr, sliceBytes(actPtr))
+	add(secActStamps, sliceBytes(actStamps))
 
 	// Lengths, CRCs and page-aligned offsets.
 	cur := uint64(ckptHeaderLen + len(secs)*ckptSecEntryLen + 4)
@@ -340,14 +325,11 @@ func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMet
 				return 0, err
 			}
 		}
-		if i == len(secs)/2 && (meta.StallWrite > 0 || meta.Faults != nil) {
+		if i == len(secs)/2 && meta.Faults != nil {
 			// Crash/fault window: make sure the partial prefix is on
-			// disk, then hold it open so a SIGKILL lands mid-write, or
-			// abort here when a ckpt.write rule injects an error.
+			// disk, then let a ckpt.write rule hold it open (so a
+			// SIGKILL lands mid-write) or abort here with an error.
 			w.Flush()
-			if meta.StallWrite > 0 {
-				time.Sleep(meta.StallWrite)
-			}
 			if err := meta.Faults.Fire(fault.CkptWrite); err != nil {
 				f.Close()
 				return 0, err
@@ -376,9 +358,6 @@ func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMet
 	}
 	if err := f.Close(); err != nil {
 		return 0, err
-	}
-	if meta.StallRename > 0 {
-		time.Sleep(meta.StallRename)
 	}
 	if err := meta.Faults.Fire(fault.CkptRename); err != nil {
 		return 0, err
@@ -417,8 +396,8 @@ func view[T any](data []byte, off, length uint64) []T {
 // ParseCheckpoint validates data as a checkpoint and assembles the
 // graph around it with zero copying: every slice of the result aliases
 // data, so data must stay valid (and unmodified) for the graph's
-// lifetime. The flat CSR view is installed pre-built — Graph.CSR on
-// the result returns the mmap'd sections directly.
+// lifetime. The result has no flat CSR view yet; Graph.CSR builds it
+// from the validated snapshots on first use.
 //
 // Errors carry the byte offset and the expected/actual values, and the
 // validation pass is total: any input for
@@ -457,9 +436,9 @@ func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, er
 	}
 	directed := flags&ckptFlagDirected != 0
 	weighted := flags&ckptFlagWeighted != 0
-	wantSecs := 15
+	wantSecs := 9
 	if weighted {
-		wantSecs = 17
+		wantSecs = 11
 	}
 	if secCount != wantSecs {
 		return nil, nil, fmt.Errorf("egio: checkpoint section count at offset 12: got %d, want %d", secCount, wantSecs)
@@ -530,19 +509,14 @@ func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, er
 	}
 
 	wN := uint64((n + 63) / 64)
-	wNT := uint64((nt + 63) / 64)
 	wantLen := map[uint32]uint64{
 		secTimes:      8 * t64,
 		secLabels:     8 * labelCount,
 		secSnapOutPtr: 4 * t64 * (n64 + 1),
 		secSnapInPtr:  4 * t64 * (n64 + 1),
 		secSnapActive: 8 * t64 * wN,
-		secFlatOutPtr: 8 * (uint64(nt) + 1),
-		secFlatInPtr:  8 * (uint64(nt) + 1),
 		secActPtr:     4 * (n64 + 1),
 		secActStamps:  4 * a64,
-		secActPos:     4 * uint64(nt),
-		secFlatActive: 8 * wNT,
 	}
 	for kind, want := range wantLen {
 		ent, ok := entries[kind]
@@ -553,7 +527,7 @@ func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, er
 			return nil, nil, fmt.Errorf("egio: checkpoint section %s length: got %d bytes, want %d", ckptSectionName(kind), ent.length, want)
 		}
 	}
-	for _, kind := range []uint32{secSnapOutAdj, secSnapInAdj, secFlatOutAdj, secFlatInAdj} {
+	for _, kind := range []uint32{secSnapOutAdj, secSnapInAdj} {
 		if _, ok := entries[kind]; !ok {
 			return nil, nil, fmt.Errorf("egio: checkpoint missing section %s", ckptSectionName(kind))
 		}
@@ -657,8 +631,8 @@ func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, er
 		return nil, nil, err
 	}
 	adjLen := map[uint32]uint64{
-		secSnapOutAdj: 4 * outTotal, secFlatOutAdj: 4 * outTotal,
-		secSnapInAdj: 4 * inTotal, secFlatInAdj: 4 * inTotal,
+		secSnapOutAdj: 4 * outTotal,
+		secSnapInAdj:  4 * inTotal,
 	}
 	if weighted {
 		adjLen[secSnapOutW] = 8 * outTotal
@@ -689,53 +663,14 @@ func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, er
 		}
 	}
 
-	// Flat CSR rows: monotone over the whole id space, totals matching
-	// the snapshot arc counts, adjacency in temporal-id range.
-	checkFlatPtr := func(kind uint32, ptr []int64, total uint64) error {
-		if ptr[0] != 0 {
-			return fmt.Errorf("egio: checkpoint section %s: row starts at %d, want 0", ckptSectionName(kind), ptr[0])
-		}
-		for i := 1; i < len(ptr); i++ {
-			if ptr[i] < ptr[i-1] {
-				return fmt.Errorf("egio: checkpoint section %s: row not monotone at index %d", ckptSectionName(kind), i)
-			}
-		}
-		if uint64(ptr[len(ptr)-1]) != total {
-			return fmt.Errorf("egio: checkpoint section %s: row total %d, want %d arcs", ckptSectionName(kind), ptr[len(ptr)-1], total)
-		}
-		return nil
-	}
-	flatOutPtr := sec64(secFlatOutPtr)
-	flatInPtr := sec64(secFlatInPtr)
-	if err := checkFlatPtr(secFlatOutPtr, flatOutPtr, outTotal); err != nil {
-		return nil, nil, err
-	}
-	if err := checkFlatPtr(secFlatInPtr, flatInPtr, inTotal); err != nil {
-		return nil, nil, err
-	}
-	flatOutAdj := sec32(secFlatOutAdj)
-	flatInAdj := sec32(secFlatInAdj)
-	for i, v := range flatOutAdj {
-		if v < 0 || int(v) >= nt {
-			return nil, nil, fmt.Errorf("egio: checkpoint flatOutAdj section: temporal id %d out of range [0, %d) at index %d", v, nt, i)
-		}
-	}
-	for i, v := range flatInAdj {
-		if v < 0 || int(v) >= nt {
-			return nil, nil, fmt.Errorf("egio: checkpoint flatInAdj section: temporal id %d out of range [0, %d) at index %d", v, nt, i)
-		}
-	}
-
-	// Activity: the per-node stamp rows, the per-stamp bitsets, the
-	// flat bitset and ActPos must all describe the same set of exactly
-	// numActive temporal nodes. This is the pass that makes
-	// CSR.CausalArcs safe: every id the bitsets call active is proven
-	// to carry a valid position inside its node's stamp row.
+	// Activity: the per-node stamp rows and the per-stamp bitsets must
+	// describe the same set of exactly numActive temporal nodes. This is
+	// the pass that makes the flat view built from them safe: every
+	// temporal node a bitset calls active is listed once in its node's
+	// stamp row, so CSR.CausalArcs finds a valid position for it.
 	actPtr := sec32(secActPtr)
 	actStamps := sec32(secActStamps)
-	actPos := sec32(secActPos)
 	snapActWords := secU64(secSnapActive)
-	flatActWords := secU64(secFlatActive)
 	if actPtr[0] != 0 {
 		return nil, nil, fmt.Errorf("egio: checkpoint actPtr section: row starts at %d, want 0", actPtr[0])
 	}
@@ -766,16 +701,6 @@ func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, er
 	if snapBits != a64 {
 		return nil, nil, fmt.Errorf("egio: checkpoint snapActive section: %d bits set, want numActive %d", snapBits, numActive)
 	}
-	if !tailMask(flatActWords, nt) {
-		return nil, nil, fmt.Errorf("egio: checkpoint flatActive section: bits set past id %d", nt-1)
-	}
-	flatBits := uint64(0)
-	for _, w := range flatActWords {
-		flatBits += uint64(bits.OnesCount64(w))
-	}
-	if flatBits != a64 {
-		return nil, nil, fmt.Errorf("egio: checkpoint flatActive section: %d bits set, want numActive %d", flatBits, numActive)
-	}
 	bitAt := func(words []uint64, i int) bool {
 		return words[i/64]&(1<<uint(i%64)) != 0
 	}
@@ -789,29 +714,10 @@ func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, er
 			if gi > lo && s <= actStamps[gi-1] {
 				return nil, nil, fmt.Errorf("egio: checkpoint actStamps section: node %d row not strictly increasing at index %d", v, gi)
 			}
-			id := int(s)*n + v
-			if int(actPos[id]) != gi {
-				return nil, nil, fmt.Errorf("egio: checkpoint actPos section: id %d maps to %d, want row index %d", id, actPos[id], gi)
-			}
 			if !bitAt(snapActWords[int(s)*int(wN):], v) {
 				return nil, nil, fmt.Errorf("egio: checkpoint snapActive section: stamp %d missing node %d listed in actStamps", s, v)
 			}
-			if !bitAt(flatActWords, id) {
-				return nil, nil, fmt.Errorf("egio: checkpoint flatActive section: missing id %d listed in actStamps", id)
-			}
 		}
-	}
-	listed := 0
-	for i, p := range actPos {
-		if p < -1 || int(p) >= numActive {
-			return nil, nil, fmt.Errorf("egio: checkpoint actPos section: position %d out of range [-1, %d) at index %d", p, numActive, i)
-		}
-		if p >= 0 {
-			listed++
-		}
-	}
-	if listed != numActive {
-		return nil, nil, fmt.Errorf("egio: checkpoint actPos section: %d ids carry positions, want numActive %d", listed, numActive)
 	}
 
 	// Assemble. Everything below aliases data.
@@ -851,14 +757,7 @@ func ParseCheckpoint(data []byte) (*egraph.IntEvolvingGraph, *CheckpointInfo, er
 		outOff += ol
 		inOff += il
 	}
-	csr := &egraph.CSR{
-		N: n, T: t,
-		OutPtr: flatOutPtr, OutAdj: flatOutAdj,
-		InPtr: flatInPtr, InAdj: flatInAdj,
-		ActPtr: actPtr, ActStamps: actStamps, ActPos: actPos,
-		Active: ds.BitSetFromWords(flatActWords, nt),
-	}
-	g := egraph.FromRaw(raw, actPtr, actStamps, csr)
+	g := egraph.FromRaw(raw, actPtr, actStamps)
 	info := &CheckpointInfo{
 		WALSeq:    walSeq,
 		Labels:    append([]int64(nil), labels...),

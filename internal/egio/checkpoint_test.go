@@ -279,8 +279,8 @@ func TestCheckpointCorruption(t *testing.T) {
 	t.Run("forged-adjacency", func(t *testing.T) {
 		check(t, forge(secSnapOutAdj, 0, 0x7f), "out of range")
 	})
-	t.Run("forged-actPos", func(t *testing.T) {
-		check(t, forge(secActPos, 3, 0x7f), "actPos section")
+	t.Run("forged-actStamps", func(t *testing.T) {
+		check(t, forge(secActStamps, 0, 0x7f), "actStamps section: stamp 127 out of range")
 	})
 	t.Run("forged-numActive", func(t *testing.T) {
 		data := append([]byte(nil), orig...)
@@ -289,6 +289,37 @@ func TestCheckpointCorruption(t *testing.T) {
 		// numActive drives the actStamps length check before any count.
 		check(t, data, "egio: checkpoint")
 	})
+}
+
+// TestCheckpointAfterUniverseShrink: Patch drops the top node ids
+// when they lose their last arc but keeps the wider ptr rows and
+// bitsets of the stamps it shares. The checkpoint must store only the
+// N+1 entries the smaller universe needs and read back as the graph a
+// full rebuild (Fold) of the same history produces.
+func TestCheckpointAfterUniverseShrink(t *testing.T) {
+	b := egraph.NewBuilder(true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 5, 2)
+	b.AddEdge(0, 1, 2)
+	base := b.Build()
+	g := egraph.Patch(base, []egraph.ArcDelta{{U: 2, V: 5, T: 2, Del: true}})
+	if base.NumNodes() != 6 || g.NumNodes() != 3 {
+		t.Fatalf("universe %d -> %d, want 6 -> 3", base.NumNodes(), g.NumNodes())
+	}
+	fb := egraph.NewBuilder(true)
+	fb.AddEdge(0, 1, 1)
+	fb.AddEdge(1, 2, 1)
+	fb.AddEdge(0, 1, 2)
+	folded := fb.Build()
+
+	path, _ := writeTestCheckpoint(t, g, CheckpointMeta{WALSeq: 1})
+	ck, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatalf("OpenCheckpoint: %v", err)
+	}
+	defer ck.Close()
+	requireIdentical(t, folded, ck.Graph)
 }
 
 // TestCheckpointEveryPrefix parses every byte-length prefix of a valid

@@ -61,11 +61,9 @@ func (g *IntEvolvingGraph) Raw() Raw {
 // actPtr/actStamps are the flattened per-node active-stamp lists (the
 // same layout as CSR.ActPtr/ActStamps); the per-node activeAt rows are
 // rebuilt as subslice headers over actStamps, so an mmap'd section
-// backs them with no copying. When csr is non-nil it is installed as
-// the graph's prebuilt flat view: EnsureCSR returns it as-is and never
-// runs a build, which is what makes a checkpoint boot O(1) in the
-// graph size.
-func FromRaw(r Raw, actPtr, actStamps []int32, csr *CSR) *IntEvolvingGraph {
+// backs them with no copying. The flat CSR view is not installed:
+// EnsureCSR builds it on first use, as for any other graph.
+func FromRaw(r Raw, actPtr, actStamps []int32) *IntEvolvingGraph {
 	if len(actPtr) != r.NumNodes+1 {
 		panic(fmt.Sprintf("egraph: FromRaw: actPtr has %d entries for %d nodes", len(actPtr), r.NumNodes))
 	}
@@ -87,10 +85,6 @@ func FromRaw(r Raw, actPtr, actStamps []int32, csr *CSR) *IntEvolvingGraph {
 	}
 	for v := 0; v < r.NumNodes; v++ {
 		g.activeAt[v] = actStamps[actPtr[v]:actPtr[v+1]:actPtr[v+1]]
-	}
-	if csr != nil {
-		// Consume the once so EnsureCSR serves the prebuilt view.
-		g.csrOnce.Do(func() { g.csr = csr })
 	}
 	return g
 }

@@ -75,13 +75,6 @@ type Config struct {
 	// CheckpointInterval is the time budget between checkpoints
 	// (default 60s).
 	CheckpointInterval time.Duration
-	// CheckpointStallWrite/CheckpointStallRename forward to the
-	// writer's fault-injection hooks; the CI soak SIGKILLs the server
-	// inside these windows to prove a torn checkpoint is survivable.
-	// Zero in production. They predate internal/fault and remain as
-	// the flag-level spelling; Faults generalises them.
-	CheckpointStallWrite  time.Duration
-	CheckpointStallRename time.Duration
 	// Faults, when non-nil, arms the checkpoint writer's injection
 	// sites (ckpt.write / ckpt.fsync / ckpt.rename). The WAL's own
 	// sites are armed through WALOptions.Faults when the WAL is
@@ -687,11 +680,9 @@ func (l *Log) maybeCheckpoint(epochDone, force bool) (int64, error) {
 	}
 	l.mu.Unlock()
 	n, err := egio.WriteCheckpoint(l.cfg.CheckpointPath, g, egio.CheckpointMeta{
-		WALSeq:      seq,
-		Labels:      labels,
-		StallWrite:  l.cfg.CheckpointStallWrite,
-		StallRename: l.cfg.CheckpointStallRename,
-		Faults:      l.cfg.Faults,
+		WALSeq: seq,
+		Labels: labels,
+		Faults: l.cfg.Faults,
 	})
 	if err != nil {
 		l.checkpointErrs.Add(1)

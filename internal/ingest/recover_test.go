@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -198,6 +200,25 @@ func TestRecoverFallbacks(t *testing.T) {
 			}
 			return ckptPath
 		}, "covers WAL sequence"},
+		{"version-1", func(t *testing.T, dir string) string {
+			// A file from before the flat-view sections were dropped:
+			// valid in every CRC, refused on its version alone.
+			_, ckptPath := writeScenario(t, dir, batches, 3)
+			data, err := os.ReadFile(ckptPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ne := binary.NativeEndian
+			ne.PutUint16(data[4:6], 1)
+			ne.PutUint32(data[60:64], crc32.ChecksumIEEE(data[:60]))
+			fo := len(data) - 16
+			ne.PutUint32(data[fo+4:], ne.Uint32(data[60:64]))
+			ne.PutUint32(data[fo+12:], crc32.ChecksumIEEE(data[fo:fo+12]))
+			if err := os.WriteFile(ckptPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return ckptPath
+		}, "unsupported version"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -477,6 +498,49 @@ func TestLogCheckpointNow(t *testing.T) {
 	}
 }
 
+// TestLogCheckpointAfterUniverseShrink: an epoch that removes the last
+// arc of the top node ids shrinks the universe while the patched
+// snapshots keep their wider rows; the next checkpoint must still be
+// written, and boot to the graph a full replay folds.
+func TestLogCheckpointAfterUniverseShrink(t *testing.T) {
+	b := egraph.NewBuilder(true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 5, 2)
+	b.AddEdge(0, 1, 2)
+	base := b.Build()
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "w.wal")
+	wal, _, err := OpenWAL(walPath, WALOptions{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptPath := filepath.Join(dir, "w.ckpt")
+	pub := newFakePub(base)
+	lg, err := New(pub, ckptLogConfig(wal, ckptPath, t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	events := []Event{{Op: RemoveArc, U: 2, V: 5, T: 2}}
+	if _, err := lg.Append(events); err != nil {
+		t.Fatal(err)
+	}
+	lg.CompactNow()
+	if got := pub.Graph().NumNodes(); got != 3 {
+		t.Fatalf("universe after the epoch: %d nodes, want 3", got)
+	}
+	if n, err := lg.CheckpointNow(); err != nil || n == 0 {
+		t.Fatalf("CheckpointNow after a shrinking epoch = (%d, %v), want bytes written", n, err)
+	}
+	ck, err := egio.OpenCheckpoint(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	assertGraphsIdentical(t, ck.Graph, Fold(base, events))
+}
+
 // TestLogCloseWritesFinalCheckpoint: a clean shutdown folds pending
 // events and leaves a full-coverage checkpoint behind.
 func TestLogCloseWritesFinalCheckpoint(t *testing.T) {
@@ -635,8 +699,8 @@ func TestRecoverRestartCycle(t *testing.T) {
 		append(flatten(batches), Event{Op: AddArc, U: 3, V: 1, T: 2})))
 }
 
-// TestLogCheckpointStallHooks: the fault-injection stalls delay the
-// write visibly — the window the CI soak SIGKILLs inside — without
+// TestLogCheckpointStallHooks: ckpt.write and ckpt.rename delay rules
+// stall the write visibly — the window the CI soak SIGKILLs inside — without
 // changing the result.
 func TestLogCheckpointStallHooks(t *testing.T) {
 	dir := t.TempDir()
@@ -646,8 +710,7 @@ func TestLogCheckpointStallHooks(t *testing.T) {
 	}
 	ckptPath := filepath.Join(dir, "w.ckpt")
 	cfg := ckptLogConfig(wal, ckptPath, t)
-	cfg.CheckpointStallWrite = 30 * time.Millisecond
-	cfg.CheckpointStallRename = 30 * time.Millisecond
+	cfg.Faults = fault.Must("ckpt.write delay=30ms\nckpt.rename delay=30ms")
 	lg, err := New(newFakePub(egraph.Figure1Graph()), cfg)
 	if err != nil {
 		t.Fatal(err)

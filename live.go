@@ -128,9 +128,10 @@ type CheckpointInfo = egio.CheckpointInfo
 // unmaps it (after which the graph must not be used).
 type Checkpoint = egio.Checkpoint
 
-// WriteCheckpoint persists g — snapshots, activity index and flat CSR
-// view — as a page-aligned, CRC-guarded, mmap-able file, atomically
-// (temp + rename). The returned size is the final file's bytes.
+// WriteCheckpoint persists g — snapshots and activity index; the flat
+// CSR view is rebuilt on first use after opening — as a page-aligned,
+// CRC-guarded, mmap-able file, atomically (temp + rename). The
+// returned size is the final file's bytes.
 func WriteCheckpoint(path string, g *Graph, meta CheckpointMeta) (int64, error) {
 	return egio.WriteCheckpoint(path, g, meta)
 }
