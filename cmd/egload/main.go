@@ -13,16 +13,7 @@
 //	       [-mix bfs:4,stats:2,weak:2,sizes:2,efficiency:2,katz:2,closeness:3,influence:1]
 //	       [-writeRatio 0] [-writeBatch 16]
 //	       [-nodes 500] [-stamps 8] [-edges 5000]
-//	       [-visibility inline|poll|feed] [-pollInterval 50ms] [-wire host:9090]
 //	       [-waitReady 0] [-json FILE] [-lintProm URL]
-//
-// -visibility selects how the harness learns that an acked write became
-// readable: "inline" piggybacks on read responses, "poll" runs a
-// dedicated /healthz poller (the deprecated X-Graph-Revision pattern),
-// "feed" subscribes to the EGWP change-feed on -wire (self-serve opens
-// its own wire listener). Running poll and feed over the same workload
-// is the BENCH_8 experiment: pushed events resolve at epoch-publish
-// time, polling pays up to a full -pollInterval on top.
 //
 // With -waitReady the harness first polls /readyz until the target
 // answers 200 (restart-to-ready; the JSON report records it as
@@ -54,12 +45,8 @@
 // adds, some removes, the occasional new stamp). 429 backpressure
 // responses are counted as throttled, not failed — that is the write
 // path telling the client to slow down, and the report shows how often
-// it did. The report also carries client-observed ingest-to-visible
-// latency: the time from a write batch's 202 ack until some read first
-// carries an X-Graph-Revision newer than the newest revision observed
-// at ack time (p50/p99; a fold already in flight at ack time can
-// attribute a write to one epoch early, so the number is exact to
-// within one epoch).
+// it did. Ingest-to-visible latency is the server's own: the report's
+// "visible" stage, scraped from /metrics.prom.
 //
 // Each read endpoint draws its parameters from a pool of -distinct
 // variants, so the workload repeats queries the way production traffic
@@ -70,7 +57,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -86,7 +72,6 @@ import (
 	"time"
 
 	evolving "repro"
-	"repro/egclient"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -116,11 +101,6 @@ func main() {
 
 		compactEvery = flag.Int("compact-every", 256, "self-serve: fold the pending delta after this many events")
 		compactIval  = flag.Duration("compact-interval", 500*time.Millisecond, "self-serve: fold any pending delta at least this often")
-
-		visibility = flag.String("visibility", "inline",
-			"how ingest-to-visible latency is observed: inline (piggyback on read responses), poll (dedicated /healthz poller — the deprecated pattern), feed (EGWP change-feed subscription — pushed)")
-		pollInterval = flag.Duration("pollInterval", 50*time.Millisecond, "poller period for -visibility poll")
-		wireTarget   = flag.String("wire", "", "EGWP address of the target for -visibility feed (self-serve opens its own)")
 	)
 	procStart := time.Now()
 	flag.Parse()
@@ -165,12 +145,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "egload: -writeRatio must be in [0,1] and -writeBatch positive")
 		os.Exit(2)
 	}
-	switch *visibility {
-	case "inline", "poll", "feed":
-	default:
-		fmt.Fprintln(os.Stderr, "egload: -visibility must be inline, poll or feed")
-		os.Exit(2)
-	}
 
 	base := *target
 	if base == "" {
@@ -202,15 +176,6 @@ func main() {
 		}
 		go http.Serve(ln, srv) //nolint:errcheck // torn down with the process
 		base = "http://" + ln.Addr().String()
-		if *visibility == "feed" && *wireTarget == "" {
-			wl, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "egload: wire listen: %v\n", err)
-				os.Exit(1)
-			}
-			go srv.ServeWire(wl) //nolint:errcheck // torn down with the process
-			*wireTarget = wl.Addr().String()
-		}
 		fmt.Printf("self-serving random graph (nodes=%d stamps=%d edges=%d seed=%d) at %s\n",
 			*nodes, *stamps, *edges, *seed, base)
 	}
@@ -256,84 +221,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The visibility notifier resolves write acks into ingest-to-visible
-	// latencies. "inline" piggybacks on read responses (zero extra
-	// traffic, but resolution is as coarse as the read rate); "poll"
-	// dedicates a /healthz poller at -pollInterval — the deprecated
-	// pattern the change-feed replaces and the baseline BENCH_8 measures
-	// against; "feed" subscribes to the EGWP change-feed and resolves at
-	// push time.
-	vis := new(visTracker)
-	stopNotifier := func() {}
-	switch *visibility {
-	case "poll":
-		done := make(chan struct{})
-		var stopped sync.WaitGroup
-		stopped.Add(1)
-		go func() {
-			defer stopped.Done()
-			probe := &http.Client{Timeout: time.Second}
-			tick := time.NewTicker(*pollInterval)
-			defer tick.Stop()
-			for {
-				var h server.HealthResponse
-				if err := getJSON(probe, base+"/healthz", &h); err == nil {
-					vis.observeRev(h.GraphRevision)
-				}
-				select {
-				case <-tick.C:
-				case <-done:
-					return
-				}
-			}
-		}()
-		stopNotifier = func() { close(done); stopped.Wait() }
-	case "feed":
-		if *wireTarget == "" {
-			fmt.Fprintln(os.Stderr, "egload: -visibility feed needs -wire (or self-serve mode)")
-			os.Exit(2)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		wc, err := egclient.DialWire(ctx, *wireTarget)
-		if err != nil {
-			cancel()
-			fmt.Fprintf(os.Stderr, "egload: dialing wire %s: %v\n", *wireTarget, err)
-			os.Exit(1)
-		}
-		sub, err := wc.Subscribe(ctx, egclient.FeedSpec{Kind: egclient.KindRevision, Cursor: egclient.CursorLive})
-		if err != nil {
-			cancel()
-			fmt.Fprintf(os.Stderr, "egload: subscribing: %v\n", err)
-			os.Exit(1)
-		}
-		var stopped sync.WaitGroup
-		stopped.Add(1)
-		go func() {
-			defer stopped.Done()
-			for {
-				ev, err := sub.Next(ctx)
-				if err != nil {
-					return
-				}
-				vis.observeRev(ev.Revision)
-			}
-		}()
-		stopNotifier = func() {
-			cancel()
-			sub.Close()
-			wc.Close()
-			stopped.Wait()
-		}
-	}
-
 	rep := run(client, base, stats, weights, *concurrency, *distinct, *requests, *duration, *seed,
-		*writeRatio, *writeBatch, vis, *visibility == "inline")
-	stopNotifier()
-	vis.fold(rep)
-	rep.VisibilityMode = *visibility
-	if *visibility == "poll" {
-		rep.PollIntervalNS = pollInterval.Nanoseconds()
-	}
+		*writeRatio, *writeBatch)
 	rep.RestartToReadyNS = readyNS
 	rep.ReadyPolls = readyPolls
 
@@ -394,26 +283,13 @@ type report struct {
 	Throughput      float64          `json:"requestsPerSecond"`
 	Endpoints       []endpointReport `json:"endpoints"`
 	CacheHitRate    float64          `json:"cacheHitRate"`
-	// Ingest-to-visible latency (write ack → first read observing a
-	// newer X-Graph-Revision), measured client-side across the whole
-	// run; zero counts mean the run had no writes or no revision ever
-	// advanced past an acked write.
 	// Restart-to-ready (-waitReady): egload start → first 200 from
-	// /healthz. Launched alongside a restarting server this is its
+	// /readyz. Launched alongside a restarting server this is its
 	// boot-to-serving time — checkpoint boots cut it by the recovery
 	// suite's warm-restart factor.
-	RestartToReadyNS int64 `json:"restartToReadyNs,omitempty"`
-	ReadyPolls       int   `json:"readyPolls,omitempty"`
-	// VisibilityMode records how acks were resolved: inline, poll (the
-	// deprecated header-polling baseline) or feed (pushed change-feed).
-	// BENCH_8 compares poll vs feed p99 on identical workloads.
-	VisibilityMode    string                  `json:"visibilityMode"`
-	PollIntervalNS    int64                   `json:"pollIntervalNs,omitempty"`
-	VisibleCount      int                     `json:"ingestVisibleCount,omitempty"`
-	VisibleUnresolved int                     `json:"ingestVisibleUnresolved,omitempty"`
-	VisibleP50NS      int64                   `json:"ingestVisibleP50Ns,omitempty"`
-	VisibleP99NS      int64                   `json:"ingestVisibleP99Ns,omitempty"`
-	ServerMetrics     *server.MetricsResponse `json:"serverMetrics,omitempty"`
+	RestartToReadyNS int64                   `json:"restartToReadyNs,omitempty"`
+	ReadyPolls       int                     `json:"readyPolls,omitempty"`
+	ServerMetrics    *server.MetricsResponse `json:"serverMetrics,omitempty"`
 	// Server-measured histograms scraped from /metrics.prom after the
 	// run: the write path's per-stage epoch timings and each endpoint's
 	// serve latency as the server recorded it (all cache outcomes and
@@ -442,77 +318,6 @@ type promLatency struct {
 	Count    uint64 `json:"count"`
 	P50NS    int64  `json:"p50ns"`
 	P99NS    int64  `json:"p99ns"`
-}
-
-// visTracker resolves ingest-to-visible latencies: every write ack
-// registers (ack time, newest revision seen so far); every read
-// response advances the high-water revision and resolves the pending
-// acks older than it.
-type visTracker struct {
-	maxRev atomic.Uint64
-	mu     sync.Mutex
-	pend   []visPending
-	lats   []time.Duration
-}
-
-type visPending struct {
-	ack time.Time
-	rev uint64
-}
-
-func (vt *visTracker) acked() {
-	vt.mu.Lock()
-	vt.pend = append(vt.pend, visPending{ack: time.Now(), rev: vt.maxRev.Load()})
-	vt.mu.Unlock()
-}
-
-func (vt *visTracker) observe(revStr string) {
-	if revStr == "" {
-		return
-	}
-	r, err := strconv.ParseUint(revStr, 10, 64)
-	if err != nil {
-		return
-	}
-	vt.observeRev(r)
-}
-
-func (vt *visTracker) observeRev(r uint64) {
-	for {
-		cur := vt.maxRev.Load()
-		if r <= cur {
-			return
-		}
-		if vt.maxRev.CompareAndSwap(cur, r) {
-			break
-		}
-	}
-	now := time.Now()
-	vt.mu.Lock()
-	keep := vt.pend[:0]
-	for _, p := range vt.pend {
-		if p.rev < r {
-			vt.lats = append(vt.lats, now.Sub(p.ack))
-		} else {
-			keep = append(keep, p)
-		}
-	}
-	vt.pend = keep
-	vt.mu.Unlock()
-}
-
-// fold writes the tracker's percentiles into the report.
-func (vt *visTracker) fold(rep *report) {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	rep.VisibleUnresolved = len(vt.pend)
-	if len(vt.lats) == 0 {
-		return
-	}
-	sort.Slice(vt.lats, func(i, j int) bool { return vt.lats[i] < vt.lats[j] })
-	rep.VisibleCount = len(vt.lats)
-	rep.VisibleP50NS = percentile(vt.lats, 50).Nanoseconds()
-	rep.VisibleP99NS = percentile(vt.lats, 99).Nanoseconds()
 }
 
 // sample is one completed request.
@@ -607,7 +412,7 @@ func buildWriteBody(rng *rand.Rand, pool *labelPool, nodes, batch int) (body str
 // run drives the workers and folds their samples into a report.
 func run(client *http.Client, base string, stats server.StatsResponse, weights []weighted,
 	concurrency, distinct, maxRequests int, duration time.Duration, seed int64,
-	writeRatio float64, writeBatch int, vis *visTracker, inlineVis bool) *report {
+	writeRatio float64, writeBatch int) *report {
 
 	var (
 		issued  atomic.Int64
@@ -650,7 +455,6 @@ func run(client *http.Client, base string, stats server.StatsResponse, weights [
 						case resp.StatusCode != http.StatusAccepted:
 							s.failed = true
 						default:
-							vis.acked()
 							if opened {
 								// The stamp is registered server-side;
 								// other workers may target it now.
@@ -672,12 +476,6 @@ func run(client *http.Client, base string, stats server.StatsResponse, weights [
 				} else {
 					s.status = resp.StatusCode
 					s.xcache = resp.Header.Get("X-Cache")
-					if inlineVis {
-						// In poll/feed mode the dedicated notifier owns
-						// resolution, so the measurement isolates the
-						// notification channel under test.
-						vis.observe(resp.Header.Get("X-Graph-Revision"))
-					}
 					resp.Body.Close()
 					// 5xx is a server failure; 404 on a randomly drawn
 					// inactive root is an expected answer.
@@ -998,13 +796,6 @@ func printReport(rep *report) {
 	if rep.RestartToReadyNS > 0 {
 		fmt.Printf("\nrestart-to-ready: %s (%d /readyz polls)\n",
 			time.Duration(rep.RestartToReadyNS).Round(time.Millisecond), rep.ReadyPolls)
-	}
-	if rep.VisibleCount > 0 {
-		fmt.Printf("\ningest-to-visible via %s (ack → first newer revision observed): p50=%s p99=%s over %d writes (%d unresolved at shutdown)\n",
-			rep.VisibilityMode,
-			time.Duration(rep.VisibleP50NS).Round(time.Microsecond),
-			time.Duration(rep.VisibleP99NS).Round(time.Microsecond),
-			rep.VisibleCount, rep.VisibleUnresolved)
 	}
 	if rep.ServerMetrics != nil {
 		c := rep.ServerMetrics.Cache

@@ -353,7 +353,7 @@ func main() {
 				log.Printf("egserve: wire: %v", err)
 			}
 		}()
-		fmt.Printf("wire protocol on %s — egclient.DialWire or egload -transport wire\n", *wireAddr)
+		fmt.Printf("wire protocol on %s — dial it with egclient.DialWire\n", *wireAddr)
 	}
 
 	select {

@@ -4,8 +4,8 @@
 // the server exposes on its second listener. Every cached analytics
 // endpoint has a per-endpoint method returning the server's response
 // type plus a Meta (revision, cache outcome); mutations go through
-// IngestArcs; Subscribe streams the revision change-feed — the
-// push-based replacement for polling the X-Graph-Revision header.
+// IngestArcs; Subscribe streams the change-feed, which only the wire
+// transport carries: it is the one way to learn a revision changed.
 //
 // Both transports surface failures as *wire.RemoteError carrying the
 // transport-neutral error code, so callers switch on codes, never on
@@ -293,10 +293,9 @@ func (c *Client) IngestArcs(ctx context.Context, events []Event) (*IngestAccepte
 
 // Subscribe opens a change-feed subscription (KindRevision,
 // KindComponents or KindKatz; see feed.Spec for cursor semantics) and
-// returns its event iterator. Over the wire transport events are
-// pushed at epoch boundaries; over HTTP, Subscribe falls back to
-// polling emulation for KindRevision only — see the deprecation note
-// in the README.
+// returns its event iterator. Events are pushed at epoch boundaries
+// over the wire transport; over HTTP, Subscribe fails with
+// CodeBadRequest for every kind.
 func (c *Client) Subscribe(ctx context.Context, spec FeedSpec) (*Subscription, error) {
 	return c.t.subscribe(ctx, spec)
 }

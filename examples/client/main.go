@@ -3,10 +3,10 @@
 // HTTP and the EGWP binary protocol on a second listener — and the
 // same typed Client drives both: the second transport to ask a query
 // hits the cache entry the first one computed, errors carry the same
-// transport-neutral code either way, and instead of polling the
-// X-Graph-Revision header the wire client subscribes to the change
-// feed and is pushed each revision the moment the ingest pipeline
-// publishes it.
+// transport-neutral code either way, and the wire client subscribes
+// to the change feed — the one way to learn a revision changed, which
+// HTTP does not carry — and is pushed each revision the moment the
+// ingest pipeline publishes it.
 package main
 
 import (

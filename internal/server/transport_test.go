@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -396,34 +397,27 @@ func TestIngestErrorParity(t *testing.T) {
 	}
 }
 
-// TestHTTPPollingEmulation covers the deprecated HTTP Subscribe
-// fallback: KindRevision events arrive (late, via polling), other
-// kinds are rejected with bad_request.
-func TestHTTPPollingEmulation(t *testing.T) {
-	g := denseGraph()
-	srv := server.New(g, server.Config{})
-	hs := httptest.NewServer(srv)
+// TestHTTPSubscribeRejected pins HTTP Subscribe's contract: the
+// change-feed is served only on the wire listener, so every kind fails
+// with bad_request and a message that names the wire transport.
+func TestHTTPSubscribeRejected(t *testing.T) {
+	hs := httptest.NewServer(server.New(denseGraph(), server.Config{}))
 	defer hs.Close()
-	c := egclient.NewHTTP(hs.URL, egclient.HTTPOptions{PollInterval: 5 * time.Millisecond})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	if _, err := c.Subscribe(ctx, egclient.FeedSpec{Kind: egclient.KindKatz}); err == nil {
-		t.Fatalf("HTTP Subscribe(KindKatz) succeeded, want bad_request")
-	}
-
-	sub, err := c.Subscribe(ctx, egclient.FeedSpec{Kind: egclient.KindRevision, Cursor: egclient.CursorLive})
-	if err != nil {
-		t.Fatalf("subscribe: %v", err)
-	}
-	defer sub.Close()
-	srv.ReplaceGraph(egraph.Patch(g, []egraph.ArcDelta{{U: 0, V: 5, T: 10, W: 1}}))
-	ev, err := sub.Next(ctx)
-	if err != nil {
-		t.Fatalf("next: %v", err)
-	}
-	if ev.Kind != egclient.KindRevision || ev.Revision != 1 {
-		t.Fatalf("event = %+v, want revision 1", ev)
+	c := egclient.NewHTTP(hs.URL, egclient.HTTPOptions{})
+	ctx := context.Background()
+	for _, kind := range []egclient.FeedKind{egclient.KindRevision, egclient.KindComponents, egclient.KindKatz} {
+		sub, err := c.Subscribe(ctx, egclient.FeedSpec{Kind: kind, Cursor: egclient.CursorLive})
+		if err == nil {
+			sub.Close()
+			t.Fatalf("HTTP Subscribe(%s) succeeded, want bad_request", kind)
+		}
+		var re *egclient.RemoteError
+		if !errors.As(err, &re) || re.Code != egclient.CodeBadRequest {
+			t.Fatalf("HTTP Subscribe(%s) error = %v (%T), want bad_request", kind, err, err)
+		}
+		if !strings.Contains(re.Message, "wire transport") {
+			t.Fatalf("HTTP Subscribe(%s) message %q does not name the wire transport", kind, re.Message)
+		}
 	}
 }
 
