@@ -141,10 +141,11 @@ func (t *wireTransport) readLoop() {
 			}
 			ws.cursor.Store(ev.Revision)
 			// Blocking here is the backpressure path: an unread
-			// subscription stalls the socket, the server's writer queue
-			// fills, its pump pauses, and the feed ring hands us a Gap
-			// event when we catch back up. A closed subscription stops
-			// blocking via done.
+			// subscription stalls the socket, the server's write to it
+			// blocks under the connection's write lock, its pump pauses
+			// there, and the feed ring hands us a Gap event when we
+			// catch back up. Replies on this connection wait behind it
+			// too. A closed subscription stops blocking via done.
 			select {
 			case ws.events <- ev:
 			case <-ws.done:

@@ -212,17 +212,9 @@ func (c *Cache) DoAtCtx(ctx context.Context, version uint64, key string, compute
 	waited := false
 	for {
 		s.mu.Lock()
-		if el, ok := s.entries[vkey]; ok {
-			s.lru.MoveToFront(el)
-			e := el.Value.(*entry)
-			v, carried := e.val, e.carried
+		if v, o, ok := c.hitLocked(s, vkey); ok {
 			s.mu.Unlock()
-			c.hits.Add(1)
-			if carried {
-				c.carriedHits.Add(1)
-				return v, Carried, nil
-			}
-			return v, Hit, nil
+			return v, o, nil
 		}
 		if cl, ok := s.flight[vkey]; ok {
 			s.mu.Unlock()
@@ -305,6 +297,39 @@ func (c *Cache) DoAtCtx(ctx context.Context, version uint64, key string, compute
 		close(cl.done)
 		return cl.val, Miss, cl.err
 	}
+}
+
+// Lookup is the non-computing half of DoAt: it returns the value
+// cached for key at version, with outcome Hit or Carried, and counts
+// the hit exactly as DoAt would. ok is false when nothing is cached
+// yet — including while a computation for key is in flight — and then
+// nothing is counted: the caller goes on to DoAt/DoAtCtx, which counts
+// the miss or the collapse. It lets a caller answer hits on its own
+// goroutine and hand only the rest to one that may block.
+func (c *Cache) Lookup(version uint64, key string) (val interface{}, outcome Outcome, ok bool) {
+	vkey := versionedKey(version, key)
+	s := &c.shards[c.shardOf(vkey)]
+	s.mu.Lock()
+	val, outcome, ok = c.hitLocked(s, vkey)
+	s.mu.Unlock()
+	return val, outcome, ok
+}
+
+// hitLocked finds vkey in s, moves it to the LRU front and counts the
+// hit (and the carried hit). Caller holds s.mu.
+func (c *Cache) hitLocked(s *shard, vkey string) (interface{}, Outcome, bool) {
+	el, ok := s.entries[vkey]
+	if !ok {
+		return nil, Miss, false
+	}
+	s.lru.MoveToFront(el)
+	e := el.Value.(*entry)
+	c.hits.Add(1)
+	if e.carried {
+		c.carriedHits.Add(1)
+		return e.val, Carried, true
+	}
+	return e.val, Hit, true
 }
 
 // Stale returns the last value a successful compute produced for key

@@ -1,9 +1,9 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"repro/internal/components"
 	"repro/internal/influence"
@@ -16,9 +16,12 @@ import (
 // through the versioned result cache. Each endpoint is a decoder
 // (request.go) that parses and canonicalises its parameters and forms
 // the cache key from the parsed values — "?mode=" and "?mode=allpairs"
-// share one entry — over either transport; Server.cached/runCached
+// share one entry — over either transport; serveCached/runCached
 // collapses concurrent identical requests and admits the compute
-// through the in-flight gate.
+// through the in-flight gate. Keys are appended with strconv rather
+// than formatted with fmt — a decoder runs on every hit — and their
+// spelling is pinned byte for byte by TestCacheKeys, because carryKeep
+// parses closeness keys back.
 
 // maxListLimit bounds the limit parameter of the size-list endpoints.
 const maxListLimit = 1 << 20
@@ -45,7 +48,10 @@ func (s *Server) componentsWeak(w http.ResponseWriter, r *http.Request) {
 func decodeComponentsWeak(s *Server, p *params) (string, func() (interface{}, error)) {
 	mode := p.mode()
 	limit := p.intRange("limit", defaultListLimit, 0, maxListLimit)
-	key := fmt.Sprintf("components/weak?mode=%s&limit=%d", modeName(mode), limit)
+	b := append(make([]byte, 0, 64), "components/weak?mode="...)
+	b = append(b, modeName(mode)...)
+	b = append(b, "&limit="...)
+	key := string(strconv.AppendInt(b, int64(limit), 10))
 	return key, func() (interface{}, error) {
 		// Weak connectivity is mode-independent, so the maintained
 		// partition (internal/inc) answers for both causal modes without
@@ -76,7 +82,10 @@ func (s *Server) componentsStrong(w http.ResponseWriter, r *http.Request) {
 func decodeComponentsStrong(s *Server, p *params) (string, func() (interface{}, error)) {
 	minSize := p.intRange("minSize", 2, 1, maxListLimit)
 	limit := p.intRange("limit", defaultListLimit, 0, maxListLimit)
-	key := fmt.Sprintf("components/strong?minSize=%d&limit=%d", minSize, limit)
+	b := append(make([]byte, 0, 64), "components/strong?minSize="...)
+	b = strconv.AppendInt(b, int64(minSize), 10)
+	b = append(b, "&limit="...)
+	key := string(strconv.AppendInt(b, int64(limit), 10))
 	return key, func() (interface{}, error) {
 		comps := components.StrongOpts(p.g, minSize, components.Options{})
 		return componentsResponse(comps, "", minSize, limit), nil
@@ -117,7 +126,10 @@ func (s *Server) componentsSizes(w http.ResponseWriter, r *http.Request) {
 func decodeComponentsSizes(s *Server, p *params) (string, func() (interface{}, error)) {
 	mode := p.mode()
 	limit := p.intRange("limit", defaultListLimit, 0, maxListLimit)
-	key := fmt.Sprintf("components/sizes?mode=%s&limit=%d", modeName(mode), limit)
+	b := append(make([]byte, 0, 64), "components/sizes?mode="...)
+	b = append(b, modeName(mode)...)
+	b = append(b, "&limit="...)
+	key := string(strconv.AppendInt(b, int64(limit), 10))
 	return key, func() (interface{}, error) {
 		sizes := components.SizeDistributionOpts(p.g, components.Options{Mode: mode, Workers: s.cfg.Workers})
 		return sizesResponse(sizes, modeName(mode), limit), nil
@@ -169,7 +181,12 @@ func decodeInfluenceGreedy(s *Server, p *params) (string, func() (interface{}, e
 	if p.err == nil && p.q.Get("k") == "" {
 		p.fail("missing parameter %q", "k")
 	}
-	key := fmt.Sprintf("influence/greedy?k=%d&mode=%s&reverse=%t", k, modeName(mode), reverse)
+	b := append(make([]byte, 0, 64), "influence/greedy?k="...)
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, "&mode="...)
+	b = append(b, modeName(mode)...)
+	b = append(b, "&reverse="...)
+	key := string(strconv.AppendBool(b, reverse))
 	return key, func() (interface{}, error) {
 		seeds, err := influence.Greedy(p.g, k, influence.Options{
 			Mode: mode, ReverseEdges: reverse, Workers: s.cfg.Workers,
@@ -204,7 +221,12 @@ func (s *Server) closeness(w http.ResponseWriter, r *http.Request) {
 func decodeCloseness(s *Server, p *params) (string, func() (interface{}, error)) {
 	root := p.temporalNode("node", "stamp")
 	mode := p.mode()
-	key := fmt.Sprintf("closeness?node=%d&stamp=%d&mode=%s", root.Node, root.Stamp, modeName(mode))
+	b := append(make([]byte, 0, 64), "closeness?node="...)
+	b = strconv.AppendInt(b, int64(root.Node), 10)
+	b = append(b, "&stamp="...)
+	b = strconv.AppendInt(b, int64(root.Stamp), 10)
+	b = append(b, "&mode="...)
+	key := string(append(b, modeName(mode)...))
 	return key, func() (interface{}, error) {
 		c, err := metrics.TemporalClosenessOpts(p.g, root, metrics.Options{Mode: mode, Workers: s.cfg.Workers})
 		if err != nil {
@@ -229,7 +251,7 @@ func (s *Server) efficiency(w http.ResponseWriter, r *http.Request) {
 
 func decodeEfficiency(s *Server, p *params) (string, func() (interface{}, error)) {
 	mode := p.mode()
-	key := fmt.Sprintf("efficiency?mode=%s", modeName(mode))
+	key := "efficiency?mode=" + modeName(mode)
 	return key, func() (interface{}, error) {
 		st := metrics.GlobalEfficiencyOpts(p.g, metrics.Options{Mode: mode, Workers: s.cfg.Workers})
 		return &EfficiencyResponse{
@@ -264,7 +286,12 @@ func decodeKatz(s *Server, p *params) (string, func() (interface{}, error)) {
 	alpha := p.float("alpha", 0.1)
 	mode := p.mode()
 	top := p.intRange("top", 10, 1, 1000)
-	key := fmt.Sprintf("katz?alpha=%g&mode=%s&top=%d", alpha, modeName(mode), top)
+	b := append(make([]byte, 0, 64), "katz?alpha="...)
+	b = strconv.AppendFloat(b, alpha, 'g', -1, 64) // what %g prints
+	b = append(b, "&mode="...)
+	b = append(b, modeName(mode)...)
+	b = append(b, "&top="...)
+	key := string(strconv.AppendInt(b, int64(top), 10))
 	return key, func() (interface{}, error) {
 		// The maintained Katz vector (internal/inc) answers directly
 		// when it was maintained at the requested alpha; other alphas —

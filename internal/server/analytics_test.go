@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -418,5 +419,58 @@ func TestReplaceGraphDoesNotCacheStaleCompute(t *testing.T) {
 	}
 	if strings.Contains(rec2.Body.String(), "old-graph-answer") {
 		t.Fatalf("post-swap response served the old generation's result: %s", rec2.Body.String())
+	}
+}
+
+// TestCacheKeys pins every cached endpoint's key byte for byte. The
+// decoders append their keys with strconv; carryKeep parses closeness
+// keys back with Sscanf, and a key that changes spelling silently
+// splits or merges cache entries, so the exact bytes are the contract.
+func TestCacheKeys(t *testing.T) {
+	s := New(egraph.Figure1Graph(), Config{})
+	for _, c := range []struct {
+		endpoint, query, want string
+	}{
+		{"components/weak", "", "components/weak?mode=allpairs&limit=100"},
+		{"components/weak", "mode=consecutive&limit=0", "components/weak?mode=consecutive&limit=0"},
+		{"components/weak", "mode=allpairs&limit=1048576", "components/weak?mode=allpairs&limit=1048576"},
+		{"components/strong", "", "components/strong?minSize=2&limit=100"},
+		{"components/strong", "minSize=1&limit=4", "components/strong?minSize=1&limit=4"},
+		{"components/sizes", "", "components/sizes?mode=allpairs&limit=100"},
+		{"components/sizes", "mode=consecutive&limit=3", "components/sizes?mode=consecutive&limit=3"},
+		{"influence/greedy", "k=2", "influence/greedy?k=2&mode=allpairs&reverse=false"},
+		{"influence/greedy", "k=3&mode=consecutive&reverse=1", "influence/greedy?k=3&mode=consecutive&reverse=true"},
+		{"closeness", "node=2&stamp=1", "closeness?node=2&stamp=1&mode=allpairs"},
+		{"closeness", "node=0&stamp=0&mode=consecutive", "closeness?node=0&stamp=0&mode=consecutive"},
+		{"efficiency", "", "efficiency?mode=allpairs"},
+		{"efficiency", "mode=consecutive", "efficiency?mode=consecutive"},
+		{"katz", "", "katz?alpha=0.1&mode=allpairs&top=10"},
+		{"katz", "alpha=0.05&mode=consecutive&top=1000", "katz?alpha=0.05&mode=consecutive&top=1000"},
+		{"katz", "alpha=1e-7&top=1", "katz?alpha=1e-07&mode=allpairs&top=1"},
+		{"katz", "alpha=2.50", "katz?alpha=2.5&mode=allpairs&top=10"},
+		{"katz", "alpha=123456789", "katz?alpha=1.23456789e+08&mode=allpairs&top=10"},
+		{"katz", "alpha=inf", "katz?alpha=+Inf&mode=allpairs&top=10"},
+		{"katz", "alpha=NaN", "katz?alpha=NaN&mode=allpairs&top=10"},
+	} {
+		q, err := url.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.paramsFor(q)
+		got, _ := cachedDecoders[c.endpoint](s, p)
+		if p.err != nil {
+			t.Fatalf("%s?%s: %v", c.endpoint, c.query, p.err)
+		}
+		if got != c.want {
+			t.Errorf("%s?%s: key %q, want %q", c.endpoint, c.query, got, c.want)
+		}
+		if c.endpoint == "closeness" {
+			var node, stamp int32
+			var mode string
+			_, err := fmt.Sscanf(got, "closeness?node=%d&stamp=%d&mode=%s", &node, &stamp, &mode)
+			if back := fmt.Sprintf("closeness?node=%d&stamp=%d&mode=%s", node, stamp, mode); err != nil || back != got {
+				t.Errorf("carryKeep's Sscanf reads %q back as %q (%v)", got, back, err)
+			}
+		}
 	}
 }

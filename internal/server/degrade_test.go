@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -148,23 +150,25 @@ func TestWireBudgetParam(t *testing.T) {
 	s := New(egraph.Figure1Graph(), Config{Logf: func(string, ...interface{}) {}})
 	seedComputeLat(s, "katz", 50*time.Millisecond)
 
-	f := s.wireQuery(t.Context(), 1, "katz", map[string][]string{"top": {"3"}, budgetParam: {"5"}}, false)
-	if f.typ != wire.RError {
-		t.Fatalf("frame type = %d, want RError (budget 5ms < p99 50ms)", f.typ)
+	r := DialRawWire(t, s)
+
+	f := r.Ask(1, "katz", url.Values{"top": {"3"}, budgetParam: {"5"}})
+	if f.Type != wire.RError {
+		t.Fatalf("frame type = %d, want RError (budget 5ms < p99 50ms)", f.Type)
 	}
-	code, _, _, _, err := wire.DecodeError(f.payload)
+	code, _, _, _, err := wire.DecodeError(f.Payload)
 	if err != nil || code != wire.CodeUnavailable {
 		t.Fatalf("error frame code = %v (%v), want unavailable", code, err)
 	}
 
 	// Warm the entry without a budget, then ask again WITH a generous
 	// budget: a hit proves the reserved param never reached the key.
-	if f := s.wireQuery(t.Context(), 2, "katz", map[string][]string{"top": {"3"}}, false); f.typ != wire.RResult {
-		t.Fatalf("warming wire query failed: type %d", f.typ)
+	if f := r.Ask(2, "katz", url.Values{"top": {"3"}}); f.Type != wire.RResult {
+		t.Fatalf("warming wire query failed: type %d", f.Type)
 	}
-	f = s.wireQuery(t.Context(), 3, "katz", map[string][]string{"top": {"3"}, budgetParam: {"60000"}}, false)
-	if f.typ != wire.RResult || f.flags != wire.CacheHit {
-		t.Fatalf("budgeted repeat: type %d flags %d, want RResult with CacheHit", f.typ, f.flags)
+	f = r.Ask(3, "katz", url.Values{"top": {"3"}, budgetParam: {"60000"}})
+	if f.Type != wire.RResult || f.Flags != wire.CacheHit {
+		t.Fatalf("budgeted repeat: type %d flags %d, want RResult with CacheHit", f.Type, f.Flags)
 	}
 }
 
@@ -177,16 +181,25 @@ func TestWireServeStaleFlag(t *testing.T) {
 		ServeStale: true,
 		Logf:       func(string, ...interface{}) {},
 	})
-	if f := s.wireQuery(t.Context(), 1, "katz", map[string][]string{"top": {"3"}}, false); f.typ != wire.RResult {
-		t.Fatalf("warming wire query failed: type %d", f.typ)
+	r := DialRawWire(t, s)
+	fresh := r.Ask(1, "katz", url.Values{"top": {"3"}})
+	if fresh.Type != wire.RResult {
+		t.Fatalf("warming wire query failed: type %d", fresh.Type)
 	}
 	s.ReplaceGraph(egraph.Figure1Graph())
-	f := s.wireQuery(t.Context(), 2, "katz", map[string][]string{"top": {"3"}}, false)
-	if f.typ != wire.RResult || f.flags != wire.CacheStale {
-		t.Fatalf("stale wire serve: type %d flags %d, want RResult with CacheStale", f.typ, f.flags)
+	f := r.Ask(2, "katz", url.Values{"top": {"3"}})
+	if f.Type != wire.RResult || f.Flags != wire.CacheStale {
+		t.Fatalf("stale wire serve: type %d flags %d, want RResult with CacheStale", f.Type, f.Flags)
 	}
-	if wire.CacheName(f.flags) != "stale" {
-		t.Fatalf("CacheName(%d) = %q, want stale", f.flags, wire.CacheName(f.flags))
+	if wire.CacheName(f.Flags) != "stale" {
+		t.Fatalf("CacheName(%d) = %q, want stale", f.Flags, wire.CacheName(f.Flags))
+	}
+	// The stale body is the stored one, byte for byte; only the
+	// revision in front of it moved on.
+	_, freshBody, _ := wire.DecodeResult(fresh.Payload)
+	rev, staleBody, _ := wire.DecodeResult(f.Payload)
+	if rev != 1 || !bytes.Equal(staleBody, freshBody) {
+		t.Fatalf("stale answer: revision %d body %s, want revision 1 and the stored body %s", rev, staleBody, freshBody)
 	}
 }
 

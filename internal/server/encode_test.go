@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/egraph"
 	"repro/internal/gen"
+	"repro/internal/qcache"
 )
 
 // serve returns the status and body h answers for GET url.
@@ -203,5 +207,23 @@ func TestResponsesAreCompact(t *testing.T) {
 		if !bytes.Equal(body, compact.Bytes()) {
 			t.Errorf("%s: body is not compact JSON and a newline:\n%s", c.url, body)
 		}
+	}
+}
+
+// TestEncodeErrorNotCached: a computed value that will not marshal is a
+// failed compute — a 500, and nothing stored, so the next request
+// computes again.
+func TestEncodeErrorNotCached(t *testing.T) {
+	s := New(egraph.Figure1Graph(), Config{})
+	p := s.paramsFor(nil)
+	nan := func() (interface{}, error) { return math.NaN(), nil }
+	for i := 0; i < 2; i++ {
+		_, outcome, err := s.runCached(context.Background(), p, "katz", "unencodable", nan)
+		if !errors.Is(err, errEncode) || errStatus(err) != http.StatusInternalServerError || outcome != qcache.Miss {
+			t.Fatalf("call %d: outcome %v, error %v (status %d); want a miss failing with errEncode, 500", i, outcome, err, errStatus(err))
+		}
+	}
+	if st := s.CacheStats(); st.Entries != 0 || st.Misses != 2 {
+		t.Fatalf("cache after two failed encodes: %+v, want no entries and two misses", st)
 	}
 }

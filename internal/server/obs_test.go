@@ -1,11 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -326,16 +326,17 @@ func TestObsConcurrentHammer(t *testing.T) {
 
 // TestWireTraceFlag forces a trace over the binary transport: a TQuery
 // carrying FlagTrace must land in /debug/traces with transport=wire on
-// the root span. Exercised through wireQuery directly — the framing
-// layer's flag extraction is covered by the transport suite.
+// the root span.
 func TestWireTraceFlag(t *testing.T) {
 	srv := New(egraph.Figure1Graph(), Config{
 		Trace: obs.TracerOptions{SampleEvery: -1},
 	})
-	f := srv.wireQuery(context.Background(), 1, "katz", map[string][]string{"top": {"3"}}, true)
-	if f.typ != wire.RResult {
-		t.Fatalf("frame type = %d, want RResult", f.typ)
+	r := DialRawWire(t, srv)
+	r.Query(1, true, "katz", url.Values{"top": {"3"}})
+	if f, err := r.Next(); err != nil || f.Type != wire.RResult {
+		t.Fatalf("frame type = %d (%v), want RResult", f.Type, err)
 	}
+	r.Close() // the trace and the latency are recorded after the answer is written
 	out, err := srv.Tracer().Dump()
 	if err != nil {
 		t.Fatalf("dump: %v", err)

@@ -217,7 +217,7 @@ func errStatus(err error) int {
 	switch {
 	case errors.Is(err, core.ErrInactiveRoot):
 		return http.StatusNotFound
-	case errors.Is(err, qcache.ErrPanic):
+	case errors.Is(err, qcache.ErrPanic), errors.Is(err, errEncode):
 		return http.StatusInternalServerError
 	case errors.Is(err, errBudget),
 		errors.Is(err, context.DeadlineExceeded),

@@ -540,7 +540,14 @@ var errBudget = errors.New("server: remaining deadline budget below the endpoint
 // abandons the flight without poisoning followers (qcache.DoAtCtx).
 // With Config.ServeStale, a server-side compute failure or budget
 // rejection falls back to the last good answer for the same query.
-func (s *Server) runCached(ctx context.Context, p *params, endpoint, key string, compute func() (interface{}, error)) (interface{}, qcache.Outcome, error) {
+//
+// What the cache stores is the answer's encoded body: the leader
+// marshals the computed value inside its flight, once per (query,
+// revision), and every hit, collapse, carried entry and stale fallback
+// hands the same bytes on. The body ends in the newline HTTP answers
+// with; EGWP sends it without (wireConn.answer). A value that fails to
+// marshal is a failed compute, and so is not cached.
+func (s *Server) runCached(ctx context.Context, p *params, endpoint, key string, compute func() (interface{}, error)) ([]byte, qcache.Outcome, error) {
 	val, outcome, err := s.cache.DoAtCtx(ctx, p.rev, key, func(ctx context.Context) (interface{}, error) {
 		select {
 		case s.gate <- struct{}{}:
@@ -560,19 +567,31 @@ func (s *Server) runCached(ctx context.Context, p *params, endpoint, key string,
 		}
 		start := time.Now()
 		v, err := compute()
-		if err == nil {
-			s.computeLat.With(endpoint).Observe(time.Since(start).Nanoseconds())
+		if err != nil {
+			return nil, err
 		}
-		return v, err
+		s.computeLat.With(endpoint).Observe(time.Since(start).Nanoseconds())
+		body, err := json.Marshal(v)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", errEncode, err)
+		}
+		return append(body, '\n'), nil
 	})
 	if err != nil && s.cfg.ServeStale && staleEligible(err) {
 		if v, ok := s.cache.Stale(key); ok {
 			s.staleServed.Add(1)
-			return v, qcache.Stale, nil
+			return v.([]byte), qcache.Stale, nil
 		}
 	}
-	return val, outcome, err
+	if err != nil {
+		return nil, outcome, err
+	}
+	return val.([]byte), outcome, nil
 }
+
+// errEncode marks an answer that computed but would not marshal — a
+// server bug, answered 500 and never cached.
+var errEncode = errors.New("server: encoding the answer")
 
 // admit is the deadline-aware admission check: with a budget attached
 // and enough history, a compute whose endpoint p99 exceeds the

@@ -8,22 +8,30 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/egclient"
 	"repro/internal/egraph"
+	"repro/internal/fault"
+	"repro/internal/feed"
 	"repro/internal/inc"
 	"repro/internal/ingest"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // attachFastIngest wires a WAL-less ingest log that folds after every
@@ -47,6 +55,7 @@ type dualServer struct {
 	s    *server.Server
 	http *egclient.Client
 	wire *egclient.Client
+	url  string // the HTTP listener's base URL
 }
 
 // newDualServer starts srv on an httptest listener and a wire
@@ -69,7 +78,39 @@ func newDualServer(t *testing.T, srv *server.Server) *dualServer {
 		t.Fatalf("DialWire: %v", err)
 	}
 	t.Cleanup(func() { wc.Close() })
-	return &dualServer{s: srv, http: egclient.NewHTTP(hs.URL, egclient.HTTPOptions{}), wire: wc}
+	return &dualServer{s: srv, http: egclient.NewHTTP(hs.URL, egclient.HTTPOptions{}), wire: wc,
+		url: hs.URL}
+}
+
+// wireBody asks one query on a fresh frame-level connection and
+// returns the cache flag and the JSON body of its RResult.
+func wireBody(t *testing.T, srv *server.Server, endpoint string, params url.Values) (uint8, []byte) {
+	t.Helper()
+	f := server.DialRawWire(t, srv).Ask(1, endpoint, params)
+	if f.Type != wire.RResult {
+		t.Fatalf("query %s: frame type %d, want an RResult", endpoint, f.Type)
+	}
+	_, body, err := wire.DecodeResult(f.Payload)
+	if err != nil {
+		t.Fatalf("query %s: %v", endpoint, err)
+	}
+	return f.Flags, body
+}
+
+// httpBody fetches one query over HTTP and returns X-Cache and the
+// body as sent.
+func httpBody(t *testing.T, base, endpoint string, params url.Values) (string, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + "/" + endpoint + "?" + params.Encode())
+	if err != nil {
+		t.Fatalf("GET %s: %v", endpoint, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v: %s", endpoint, resp.StatusCode, err, body)
+	}
+	return resp.Header.Get("X-Cache"), body
 }
 
 // denseGraph builds a graph rich enough that every cached endpoint has
@@ -151,9 +192,73 @@ func TestCrossTransportEquivalence(t *testing.T) {
 					if m1.Revision != m2.Revision {
 						t.Fatalf("revisions diverge: %d vs %d", m1.Revision, m2.Revision)
 					}
+					sameBody(t, d, q.endpoint, q.params)
 				})
 			}
 		})
+	}
+
+	// The stored body outlives its revision in two ways: carried over
+	// a swap that provably leaves it unchanged, and served stale after a
+	// failed compute. Either way it is the same bytes.
+	t.Run("carried", func(t *testing.T) {
+		g := denseGraph()
+		m := inc.New(inc.Config{})
+		srv := server.New(g, server.Config{})
+		srv.PublishAnalytics(m.Prime(g))
+		d := newDualServer(t, srv)
+		_, before := httpBody(t, d.url, "components/weak", nil)
+		delta := []egraph.ArcDelta{{U: 5, V: 0, T: 20, W: 1}}
+		ng := egraph.Patch(g, delta)
+		srv.ReplaceGraphWithAnalytics(ng, m.Apply(g, ng, delta))
+		outcome, after := httpBody(t, d.url, "components/weak", nil)
+		if outcome != "carried" || !bytes.Equal(after, before) {
+			t.Fatalf("after the swap: X-Cache %q body %q, want carried and the stored body %q", outcome, after, before)
+		}
+		sameBody(t, d, "components/weak", nil)
+	})
+	t.Run("stale", func(t *testing.T) {
+		srv := server.New(denseGraph(), server.Config{
+			Faults:     fault.Must("seed 1\nquery.compute error=io after=1"), // only the first compute succeeds
+			ServeStale: true,
+			Logf:       func(string, ...interface{}) {},
+		})
+		d := newDualServer(t, srv)
+		params := url.Values{"top": {"3"}}
+		_, before := httpBody(t, d.url, "katz", params)
+		srv.ReplaceGraph(denseGraph())
+		outcome, after := httpBody(t, d.url, "katz", params)
+		if outcome != "stale" || !bytes.Equal(after, before) {
+			t.Fatalf("after the swap: X-Cache %q body %q, want stale and the stored body %q", outcome, after, before)
+		}
+		flags, body := wireBody(t, srv, "katz", params)
+		if flags != wire.CacheStale || !bytes.Equal(append(body, '\n'), before) {
+			t.Fatalf("EGWP after the swap: flags %d body %q, want CacheStale and the stored body %q", flags, body, before)
+		}
+	})
+}
+
+// sameBody checks that one cached answer is one byte string: the HTTP
+// body, the EGWP body plus the newline, and json.Marshal of a fresh
+// compute plus the newline.
+func sameBody(t *testing.T, d *dualServer, endpoint string, params url.Values) {
+	t.Helper()
+	_, hb := httpBody(t, d.url, endpoint, params)
+	_, wb := wireBody(t, d.s, endpoint, params)
+	v, err := server.ComputeValue(d.s, endpoint, params)
+	if err != nil {
+		t.Fatalf("compute %s: %v", endpoint, err)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if !bytes.Equal(hb, want) {
+		t.Fatalf("%s: HTTP body %q, want json.Marshal %q", endpoint, hb, want)
+	}
+	if !bytes.Equal(append(wb, '\n'), want) {
+		t.Fatalf("%s: EGWP body %q, want json.Marshal without its newline %q", endpoint, wb, want)
 	}
 }
 
@@ -455,4 +560,133 @@ func queryJSONRaw(t *testing.T, c *egclient.Client, endpoint string) ([]byte, eg
 		t.Fatalf("query %s: %v", endpoint, err)
 	}
 	return raw, meta
+}
+
+// TestWireAllSendersAtOnce puts every kind of sender on one EGWP
+// connection at once — a revision subscription, pipelined hits and
+// misses, ingest batches folding into new revisions — and checks what
+// the client reads: every frame passes its CRC, every request id gets
+// exactly one reply, and the feed's revisions strictly increase with
+// no gap. The server writes the socket under one lock; this is the
+// test that the lock, and the flush left to the last sender, lose or
+// tear nothing.
+func TestWireAllSendersAtOnce(t *testing.T) {
+	srv := server.New(denseGraph(), server.Config{Logf: func(string, ...interface{}) {}})
+	attachFastIngest(t, srv)
+	r := server.DialRawWire(t, srv)
+	const subID = 1
+
+	// The client side: one goroutine reads everything the server sends,
+	// from before the first request on.
+	var mu sync.Mutex
+	replies := map[uint32]int{}
+	var revisions []uint64
+	var gaps int
+	readErr := make(chan error, 1)
+	go func() {
+		for {
+			f, err := r.Next()
+			if err != nil {
+				readErr <- err
+				return
+			}
+			mu.Lock()
+			if f.Type == wire.REvent {
+				if ev, err := wire.DecodeEvent(f.Payload); err != nil || f.ID != subID {
+					t.Errorf("event on id %d: %+v, %v", f.ID, ev, err)
+				} else if ev.Kind == feed.KindGap {
+					gaps++
+				} else {
+					revisions = append(revisions, ev.Revision)
+				}
+			} else {
+				replies[f.ID]++
+				if f.Type != wire.RResult && f.Type != wire.RSubscribed && f.Type != wire.RPong {
+					t.Errorf("id %d answered with frame type %d", f.ID, f.Type)
+				}
+			}
+			mu.Unlock()
+		}
+	}()
+
+	if err := r.Send(wire.TSubscribe, 0, subID, wire.AppendSubscribe(nil, feed.Spec{Kind: feed.KindRevision, Cursor: feed.CursorLive})); err != nil {
+		t.Fatal(err)
+	}
+	hot := url.Values{"top": {"3"}}
+	r.Query(2, false, "katz", hot)
+
+	const rounds = 40
+	var wg sync.WaitGroup
+	sender := func(first uint32, pause time.Duration, frame func(i int) (uint8, []byte)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				typ, payload := frame(i)
+				if err := r.Send(typ, 0, first+uint32(i), payload); err != nil {
+					t.Errorf("send: %v", err)
+					return
+				}
+				time.Sleep(pause)
+			}
+		}()
+	}
+	sender(100, 0, func(int) (uint8, []byte) { return wire.TQuery, wire.AppendQuery(nil, "katz", hot) })
+	sender(200, 0, func(i int) (uint8, []byte) { // a new key each time: misses
+		return wire.TQuery, wire.AppendQuery(nil, "katz", url.Values{"top": {strconv.Itoa(4 + i)}})
+	})
+	// One arc added and removed in turn, paced so that each batch folds
+	// into a revision swap among the queries.
+	sender(300, 500*time.Microsecond, func(i int) (uint8, []byte) {
+		op := ingest.AddArc
+		if i%2 == 1 {
+			op = ingest.RemoveArc
+		}
+		return wire.TIngest, wire.AppendIngest(nil, []ingest.Event{{Op: op, U: 0, V: 5, T: 10}})
+	})
+	sender(400, 0, func(i int) (uint8, []byte) { return wire.TPing, nil })
+	wg.Wait()
+
+	// Every request answered, then the feed caught up with the last
+	// fold.
+	want := 2 + 4*rounds
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		n, last := len(replies), uint64(0)
+		if len(revisions) > 0 {
+			last = revisions[len(revisions)-1]
+		}
+		mu.Unlock()
+		if n == want && last > 0 && last == srv.Revision() {
+			break
+		}
+		select {
+		case err := <-readErr:
+			t.Fatalf("reading the connection: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests answered, feed at revision %d, server at %d", n, want, last, srv.Revision())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	r.Close()
+	if err := <-readErr; !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("reading the connection: %v", err)
+	}
+
+	for id, n := range replies {
+		if n != 1 {
+			t.Errorf("id %d answered %d times", id, n)
+		}
+	}
+	if gaps > 0 {
+		t.Errorf("feed delivered %d gap events", gaps)
+	}
+	for i := 1; i < len(revisions); i++ {
+		if revisions[i] <= revisions[i-1] {
+			t.Fatalf("feed revisions not strictly increasing: %v", revisions)
+		}
+	}
 }

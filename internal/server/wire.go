@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -23,29 +24,22 @@ import (
 // The binary transport: ServeWire speaks the EGWP protocol
 // (internal/wire, DESIGN.md §15) on a second listener alongside HTTP.
 // Queries dispatch through the same request-decoding layer and
-// runCached core as the HTTP handlers — one qcache entry per answer
-// across both transports — ingest batches land in the same write path,
-// and TSubscribe streams the change feed that replaces
-// X-Graph-Revision polling.
+// runCached core as the HTTP handlers — one qcache entry, holding one
+// encoded body, per answer across both transports — ingest batches
+// land in the same write path, and TSubscribe streams the change feed
+// that replaces X-Graph-Revision polling.
 //
-// Per connection: one reader (this goroutine), one writer goroutine
-// owning the socket's write side, a goroutine per in-flight query
-// (frames carry correlation ids, so clients pipeline), and a pump
-// goroutine per subscription. Backpressure is structural end to end: a
-// slow client fills the TCP window, then the writer's queue; a full
-// queue stalls subscription pumps between Next calls, so the feed
-// ring advances without them and they resume with one Gap event.
-
-// wireOutQueue bounds the per-connection writer queue (frames).
-const wireOutQueue = 64
-
-// outFrame is one frame awaiting the connection's writer goroutine.
-type outFrame struct {
-	typ     uint8
-	flags   uint8
-	id      uint32
-	payload []byte
-}
+// Per connection: one reader (this goroutine), a goroutine per query
+// that misses the cache (frames carry correlation ids, so clients
+// pipeline), and a pump goroutine per subscription. A hit is answered
+// on the reader goroutine itself: one lookup, one write of the stored
+// body. Every sender writes the socket under one mutex (wireConn.send),
+// and the last of a queued run flushes. Backpressure is structural end
+// to end: a slow client fills the TCP window, which blocks the lock
+// holder and every sender queued behind it — the reader, so the client
+// stops being read, and the subscription pumps between Next calls, so
+// the feed ring advances without them and they resume with one Gap
+// event.
 
 // ServeWire accepts and serves EGWP connections on l until l is
 // closed, blocking like http.Server.Serve. Connections drain on their
@@ -93,6 +87,23 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 	return fc.Conn.Write(p)
 }
 
+// wireConn is what the goroutines serving one connection share.
+type wireConn struct {
+	s      *Server
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup // query goroutines and subscription pumps
+
+	// wmu guards the socket's write side: bw and the two scratch
+	// buffers a frame is built in. senders counts the goroutines
+	// holding or waiting for wmu, so that the last of them flushes.
+	wmu     sync.Mutex
+	bw      *bufio.Writer
+	frame   []byte
+	payload []byte
+	senders atomic.Int32
+}
+
 func (s *Server) serveWireConn(conn net.Conn) {
 	defer conn.Close()
 	if s.cfg.Faults != nil {
@@ -110,32 +121,15 @@ func (s *Server) serveWireConn(conn net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Teardown must not depend on the peer: once anything cancels the
-	// connection context (writer error, listener shutdown), closing the
-	// socket unblocks a reader parked in ReadFrame on a half-open peer
-	// and a writer parked in a full TCP window — otherwise those
+	// connection context (a failed write, listener shutdown), closing
+	// the socket unblocks a reader parked in ReadFrame on a half-open
+	// peer and a sender parked in a full TCP window — otherwise those
 	// goroutines (and the subscription registry entries their wg holds)
 	// leak until the kernel times the connection out.
 	stopClose := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stopClose()
-	out := make(chan outFrame, wireOutQueue)
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		s.wireWriter(ctx, cancel, conn, out)
-	}()
-	// send enqueues one frame for the writer unless the connection is
-	// already going down. Payload ownership passes to the writer.
-	send := func(f outFrame) bool {
-		select {
-		case out <- f:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
+	c := &wireConn{s: s, ctx: ctx, cancel: cancel, bw: bufio.NewWriterSize(conn, 1<<16)}
 
-	var wg sync.WaitGroup
 	fr := wire.NewReader(conn)
 	for {
 		frame, err := fr.ReadFrame()
@@ -149,40 +143,35 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		}
 		switch frame.Type {
 		case wire.TPing:
-			send(outFrame{typ: wire.RPong, id: frame.ID})
+			c.send(wire.RPong, 0, frame.ID, nil)
 		case wire.TQuery:
 			endpoint, q, err := wire.DecodeQuery(frame.Payload)
 			if err != nil {
-				send(s.wireError(frame.ID, http.StatusBadRequest, err.Error()))
+				c.sendError(frame.ID, http.StatusBadRequest, err.Error())
 				continue
 			}
 			s.wireQueries.Add(1)
-			wg.Add(1)
-			go func(id uint32, forced bool) {
-				defer wg.Done()
-				send(s.wireQuery(ctx, id, endpoint, q, forced))
-			}(frame.ID, frame.Flags&wire.FlagTrace != 0)
+			c.query(frame.ID, endpoint, q, frame.Flags&wire.FlagTrace != 0)
 		case wire.TIngest:
 			// Ingest stays on the reader goroutine: batches from one
 			// connection must reach the WAL in the order they were sent.
 			events, err := wire.DecodeIngest(frame.Payload)
 			if err != nil {
-				send(s.wireError(frame.ID, http.StatusBadRequest, err.Error()))
+				c.sendError(frame.ID, http.StatusBadRequest, err.Error())
 				continue
 			}
 			s.wireIngest.Add(1)
 			resp, status, msg := s.acceptBatch(events)
 			if status != http.StatusAccepted {
-				send(s.wireError(frame.ID, status, msg))
+				c.sendError(frame.ID, status, msg)
 				continue
 			}
 			body, _ := json.Marshal(resp)
-			send(outFrame{typ: wire.RResult, flags: wire.CacheNone, id: frame.ID,
-				payload: wire.AppendResult(nil, s.Revision(), body)})
+			c.sendResult(wire.RResult, wire.CacheNone, frame.ID, s.Revision(), body)
 		case wire.TSubscribe:
 			spec, err := wire.DecodeSubscribe(frame.Payload)
 			if err != nil {
-				send(s.wireError(frame.ID, http.StatusBadRequest, err.Error()))
+				c.sendError(frame.ID, http.StatusBadRequest, err.Error())
 				continue
 			}
 			sub, err := s.hub.Subscribe(spec)
@@ -191,62 +180,95 @@ func (s *Server) serveWireConn(conn net.Conn) {
 				if errors.Is(err, feed.ErrHubClosed) {
 					status = http.StatusServiceUnavailable
 				}
-				send(s.wireError(frame.ID, status, err.Error()))
+				c.sendError(frame.ID, status, err.Error())
 				continue
 			}
-			send(outFrame{typ: wire.RSubscribed, id: frame.ID,
-				payload: wire.AppendResult(nil, s.Revision(), nil)})
-			wg.Add(1)
-			go func(id uint32) {
-				defer wg.Done()
-				defer sub.Close()
-				for {
-					ev, err := sub.Next(ctx)
-					if err != nil {
-						return
-					}
-					if !send(outFrame{typ: wire.REvent, id: id, payload: wire.AppendEvent(nil, ev)}) {
-						return
-					}
-					s.wireEvents.Add(1)
-					if !ev.At.IsZero() {
-						// Publish-to-handoff delivery lag; gap events
-						// carry no source epoch and are skipped.
-						s.feedLag.Observe(time.Since(ev.At).Nanoseconds())
-					}
-				}
-			}(frame.ID)
+			c.sendResult(wire.RSubscribed, 0, frame.ID, s.Revision(), nil)
+			c.wg.Add(1)
+			go c.pump(frame.ID, sub)
 		default:
-			send(s.wireError(frame.ID, http.StatusBadRequest, "unknown frame type"))
+			c.sendError(frame.ID, http.StatusBadRequest, "unknown frame type")
 		}
 	}
 	cancel()
-	wg.Wait()
-	writerWG.Wait()
+	c.wg.Wait()
 }
 
-// wireWriter is the single goroutine owning conn's write side: it
-// frames and flushes queued responses, batching flushes while more
-// frames are pending.
-func (s *Server) wireWriter(ctx context.Context, cancel context.CancelFunc, conn net.Conn, out <-chan outFrame) {
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	var buf []byte
+// send frames one server frame onto the socket. Every sender on the
+// connection — the reader answering a hit or acknowledging a batch,
+// query goroutines, subscription pumps — writes under wmu; one that
+// finds others queued behind it leaves the flush to the last of them,
+// so a burst of frames still leaves in few writes. A failed write
+// cancels the connection. It reports false once the connection is
+// going down.
+func (c *wireConn) send(typ, flags uint8, id uint32, payload []byte) bool {
+	if c.ctx.Err() != nil {
+		return false
+	}
+	c.senders.Add(1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.frame = wire.AppendFrame(c.frame[:0], typ, flags, id, payload)
+	return c.writeLocked()
+}
+
+// sendResult is send for a frame whose payload is a revision and a
+// body (RResult, RSubscribed), built in the connection's scratch
+// buffer rather than a fresh one.
+func (c *wireConn) sendResult(typ, flags uint8, id uint32, rev uint64, body []byte) bool {
+	if c.ctx.Err() != nil {
+		return false
+	}
+	c.senders.Add(1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.payload = wire.AppendResult(c.payload[:0], rev, body)
+	c.frame = wire.AppendFrame(c.frame[:0], typ, flags, id, c.payload)
+	return c.writeLocked()
+}
+
+// writeLocked writes c.frame and flushes unless another sender is
+// queued for wmu: the last sender of a run always sees the count drop
+// to zero, so no frame is left in the buffer. The caller holds wmu and
+// counted itself in senders.
+func (c *wireConn) writeLocked() bool {
+	_, err := c.bw.Write(c.frame)
+	if c.senders.Add(-1) == 0 && err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		c.cancel()
+		return false
+	}
+	return true
+}
+
+// sendError sends one failure as an RError frame carrying the same
+// code the HTTP envelope would: both transports map status 1:1 through
+// wire.CodeFromStatus.
+func (c *wireConn) sendError(id uint32, status int, msg string) {
+	c.send(wire.RError, 0, id,
+		wire.AppendError(nil, wire.CodeFromStatus(status), c.s.Revision(), msg, ""))
+}
+
+// pump streams one subscription's events until it or the connection
+// ends.
+func (c *wireConn) pump(id uint32, sub *feed.Sub) {
+	defer c.wg.Done()
+	defer sub.Close()
 	for {
-		select {
-		case f := <-out:
-			buf = wire.AppendFrame(buf[:0], f.typ, f.flags, f.id, f.payload)
-			if _, err := bw.Write(buf); err != nil {
-				cancel()
-				return
-			}
-			if len(out) == 0 {
-				if err := bw.Flush(); err != nil {
-					cancel()
-					return
-				}
-			}
-		case <-ctx.Done():
+		ev, err := sub.Next(c.ctx)
+		if err != nil {
 			return
+		}
+		if !c.send(wire.REvent, 0, id, wire.AppendEvent(nil, ev)) {
+			return
+		}
+		c.s.wireEvents.Add(1)
+		if !ev.At.IsZero() {
+			// Publish-to-write delivery lag; gap events carry no source
+			// epoch and are skipped.
+			c.s.feedLag.Observe(time.Since(ev.At).Nanoseconds())
 		}
 	}
 }
@@ -258,38 +280,45 @@ func (s *Server) wireWriter(ctx context.Context, cancel context.CancelFunc, conn
 // keys.
 const budgetParam = "_budget_ms"
 
-// wireQuery answers one TQuery: same decoders, same cache, same gate
-// as the HTTP path, the same serve-latency histogram (transport
-// "wire") and the same trace spans — forced here by the FlagTrace bit
-// instead of an X-Trace header. The request pins the current era
-// exactly like ServeHTTP does, so graph snapshots it captures stay
-// reachable. ctx is the connection context plus the query's declared
-// budget (budgetParam), so a torn-down connection or an exhausted
-// budget abandons the compute without poisoning collapsed followers.
-func (s *Server) wireQuery(ctx context.Context, id uint32, endpoint string, q map[string][]string, forced bool) outFrame {
-	start := time.Now()
-	outcomeLabel := "error"
-	defer func() {
-		s.serveLat.With("/"+endpoint, outcomeLabel, "wire").Observe(time.Since(start).Nanoseconds())
-	}()
-	e := s.pinEra()
-	defer s.unpinEra(e)
-	tr := s.tracer.Start(forced)
-	defer tr.Finish()
-	root := tr.Span("serve", obs.RootSpan)
-	defer root.End()
-	root.Attr("endpoint", endpoint)
-	root.Attr("transport", "wire")
+// wireQuery is the bookkeeping of one TQuery between its decode and
+// its answer, which may be sent from another goroutine.
+type wireQuery struct {
+	id       uint32
+	endpoint string
+	start    time.Time
+	era      *era
+	tr       *obs.Trace
+	root     obs.SpanRef
+}
 
-	if raw := url.Values(q).Get(budgetParam); raw != "" {
-		ms, _ := strconv.ParseInt(raw, 10, 64)
+// query answers one TQuery: same decoders, same cache, same gate as the
+// HTTP path, the same serve-latency histogram (transport "wire") and
+// the same trace spans — forced here by the FlagTrace bit instead of
+// an X-Trace header. The query pins the current era exactly like
+// ServeHTTP does, so graph snapshots it captures stay reachable.
+//
+// It runs on the reader goroutine, decodes the query once and looks
+// its key up; a hit is answered there and then. Only a miss or a
+// collapse — a compute, or a wait on someone else's — gets a goroutine
+// of its own, so a slow compute never stalls the frames pipelined
+// behind it, nor the ingest batches that must reach the WAL in order.
+// Its context is the connection's plus the query's declared budget
+// (budgetParam), so a torn-down connection or an exhausted budget
+// abandons the compute without poisoning collapsed followers.
+func (c *wireConn) query(id uint32, endpoint string, q url.Values, forced bool) {
+	s := c.s
+	wq := wireQuery{id: id, endpoint: endpoint, start: time.Now(), era: s.pinEra(), tr: s.tracer.Start(forced)}
+	wq.root = wq.tr.Span("serve", obs.RootSpan)
+	wq.root.Attr("endpoint", endpoint)
+	wq.root.Attr("transport", "wire")
+
+	var budget int64
+	if raw := q.Get(budgetParam); raw != "" {
+		budget, _ = strconv.ParseInt(raw, 10, 64)
 		delete(q, budgetParam)
-		var cancel context.CancelFunc
-		ctx, cancel = withBudget(ctx, ms)
-		defer cancel()
 	}
 
-	dec := tr.Span("decode", root)
+	dec := wq.tr.Span("decode", wq.root)
 	p, key, compute, err := s.decodeCached(endpoint, q)
 	dec.End()
 	if err != nil {
@@ -297,44 +326,58 @@ func (s *Server) wireQuery(ctx context.Context, id uint32, endpoint string, q ma
 		if _, known := cachedDecoders[endpoint]; !known {
 			status = http.StatusNotFound
 		}
-		return s.wireError(id, status, err.Error())
+		c.fail(&wq, status, err.Error())
+		return
 	}
 	dec.Attr("key", key)
-	root.Attr("revision", strconv.FormatUint(p.rev, 10))
+	wq.root.Attr("revision", strconv.FormatUint(p.rev, 10))
 
-	cacheSp := tr.Span("cache", root)
-	val, outcome, err := s.runCached(ctx, p, endpoint, key, traceCompute(tr, cacheSp, compute))
-	cacheSp.Attr("outcome", outcome.String())
-	cacheSp.End()
-	if err != nil {
-		return s.wireError(id, errStatus(err), err.Error())
+	cacheSp := wq.tr.Span("cache", wq.root)
+	if val, outcome, ok := s.cache.Lookup(p.rev, key); ok {
+		cacheSp.Attr("outcome", outcome.String())
+		cacheSp.End()
+		c.answer(&wq, outcome, p.rev, val.([]byte))
+		return
 	}
-	outcomeLabel = outcome.String()
-
-	enc := tr.Span("encode", root)
-	body, err := json.Marshal(val)
-	enc.End()
-	if err != nil {
-		outcomeLabel = "error"
-		return s.wireError(id, http.StatusInternalServerError, err.Error())
-	}
-	return outFrame{
-		typ:     wire.RResult,
-		flags:   cacheFlag(outcome),
-		id:      id,
-		payload: wire.AppendResult(nil, p.rev, body),
-	}
+	mq := wq // the goroutine's own copy, so a hit's wq never leaves the stack
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		ctx, cancel := withBudget(c.ctx, budget)
+		defer cancel()
+		body, outcome, err := s.runCached(ctx, p, endpoint, key, traceCompute(mq.tr, cacheSp, compute))
+		cacheSp.Attr("outcome", outcome.String())
+		cacheSp.End()
+		if err != nil {
+			c.fail(&mq, errStatus(err), err.Error())
+			return
+		}
+		c.answer(&mq, outcome, p.rev, body)
+	}()
 }
 
-// wireError renders one failure as an RError frame carrying the same
-// code the HTTP envelope would: both transports map status 1:1 through
-// wire.CodeFromStatus.
-func (s *Server) wireError(id uint32, status int, msg string) outFrame {
-	return outFrame{
-		typ:     wire.RError,
-		id:      id,
-		payload: wire.AppendError(nil, wire.CodeFromStatus(status), s.Revision(), msg, ""),
-	}
+// answer sends a query's stored body, without the newline HTTP ends
+// it with, and closes the query's books.
+func (c *wireConn) answer(wq *wireQuery, outcome qcache.Outcome, rev uint64, body []byte) {
+	enc := wq.tr.Span("encode", wq.root)
+	c.sendResult(wire.RResult, cacheFlag(outcome), wq.id, rev, body[:len(body)-1])
+	enc.End()
+	c.done(wq, outcome.String())
+}
+
+// fail sends a query's error and closes its books.
+func (c *wireConn) fail(wq *wireQuery, status int, msg string) {
+	c.sendError(wq.id, status, msg)
+	c.done(wq, "error")
+}
+
+// done ends the query's trace, releases its era pin and records its
+// serve latency.
+func (c *wireConn) done(wq *wireQuery, outcome string) {
+	wq.root.End()
+	wq.tr.Finish()
+	c.s.unpinEra(wq.era)
+	c.s.serveLat.With("/"+wq.endpoint, outcome, "wire").Observe(time.Since(wq.start).Nanoseconds())
 }
 
 // cacheFlag is the RResult flags encoding of a cache outcome (the
