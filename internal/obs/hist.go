@@ -214,56 +214,68 @@ func BucketBoundsSeconds() []float64 {
 }
 
 // HistogramVec is a labeled family of histograms: one Histogram per
-// distinct label-value tuple, created on first use and cached forever
+// distinct label-value tuple, created on first use and kept forever
 // (label cardinality here is small and bounded: endpoints × outcomes ×
-// transports, or pipeline stages).
+// transports, or pipeline stages). The series map is copy-on-write: a
+// lookup is one atomic load and one map read, and only the first use
+// of a tuple takes the lock and replaces the map.
 type HistogramVec struct {
 	name   string
 	help   string
 	labels []string
-	mu     sync.Mutex
-	m      sync.Map // joined label values -> *Histogram
+	mu     sync.Mutex                            // serialises inserts
+	series atomic.Pointer[map[string]*Histogram] // joined label values -> series
 }
 
 // With returns the histogram for the given label values (must match
-// the declared label names in number and order).
+// the declared label names in number and order). For a tuple already
+// seen it allocates nothing: the key is joined in a stack buffer and
+// the map is read through a string(b) conversion. (A tuple longer than
+// the buffer joins on the heap; every label here is far shorter.)
 func (v *HistogramVec) With(values ...string) *Histogram {
 	if len(values) != len(v.labels) {
 		panic("obs: label value count mismatch for " + v.name)
 	}
-	key := joinLabelValues(values)
-	if h, ok := v.m.Load(key); ok {
-		return h.(*Histogram)
+	var buf [128]byte
+	key := appendLabelValues(buf[:0], values)
+	if h := v.all()[string(key)]; h != nil {
+		return h
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if h, ok := v.m.Load(key); ok {
-		return h.(*Histogram)
+	old := v.all()
+	if h := old[string(key)]; h != nil {
+		return h
+	}
+	m := make(map[string]*Histogram, len(old)+1)
+	for k, h := range old {
+		m[k] = h
 	}
 	h := &Histogram{}
-	v.m.Store(key, h)
+	m[string(key)] = h
+	v.series.Store(&m)
 	return h
 }
 
-func joinLabelValues(values []string) string {
-	switch len(values) {
-	case 0:
-		return ""
-	case 1:
-		return values[0]
+// all returns every series keyed by joined label values. The map is
+// shared and must not be modified.
+func (v *HistogramVec) all() map[string]*Histogram {
+	if m := v.series.Load(); m != nil {
+		return *m
 	}
-	n := len(values) - 1
-	for _, s := range values {
-		n += len(s)
-	}
-	b := make([]byte, 0, n)
+	return nil
+}
+
+// appendLabelValues appends values to b joined by '\xff', a byte no
+// UTF-8 label value contains.
+func appendLabelValues(b []byte, values []string) []byte {
 	for i, s := range values {
 		if i > 0 {
 			b = append(b, '\xff')
 		}
 		b = append(b, s...)
 	}
-	return string(b)
+	return b
 }
 
 func splitLabelValues(key string, n int) []string {

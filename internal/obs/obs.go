@@ -143,11 +143,11 @@ func (r *Registry) HistogramSnapshots(name string) map[string]HistSnapshot {
 	if f == nil || f.vec == nil {
 		return nil
 	}
-	out := make(map[string]HistSnapshot)
-	f.vec.m.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Histogram).Snapshot()
-		return true
-	})
+	vec := f.vec.all()
+	out := make(map[string]HistSnapshot, len(vec))
+	for k, h := range vec {
+		out[k] = h.Snapshot()
+	}
 	return out
 }
 

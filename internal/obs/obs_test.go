@@ -127,6 +127,84 @@ func TestHistogramVecLabels(t *testing.T) {
 	v.With("only-one")
 }
 
+// TestHistogramVecWithAllocs: finding an existing series allocates
+// nothing. Every request on both transports looks its serve-latency
+// series up once.
+func TestHistogramVecWithAllocs(t *testing.T) {
+	v := NewRegistry().Histogram("x_seconds", "h", "endpoint", "outcome", "transport")
+	h := v.With("/influence/greedy", "collapsed", "wire")
+	if n := testing.AllocsPerRun(1000, func() {
+		v.With("/influence/greedy", "collapsed", "wire").Observe(1500)
+	}); n != 0 {
+		t.Errorf("With on an existing series: %.1f allocations, want 0", n)
+	}
+	// A tuple past the stack buffer still finds its one series.
+	long := strings.Repeat("/components/strong", 8)
+	if v.With(long, "miss", "wire") != v.With(long, "miss", "wire") || v.With("/influence/greedy", "collapsed", "wire") != h {
+		t.Fatal("the same labels returned distinct histograms")
+	}
+}
+
+// TestHistogramVecConcurrent races goroutines creating series against
+// goroutines observing existing ones and a scraper reading them all
+// (run it under -race). Every observation must land in its series.
+func TestHistogramVecConcurrent(t *testing.T) {
+	r := NewRegistry()
+	v := r.Histogram("x_seconds", "h", "a", "b")
+	const (
+		creators  = 4
+		observers = 4
+		perWorker = 200
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < creators; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				v.With(string(rune('a'+w)), strings.Repeat("x", i%50)).Observe(1000)
+			}
+		}(w)
+	}
+	for w := 0; w < observers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				v.With("hot", "series").Observe(2000)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			var b bytes.Buffer
+			if err := r.WriteProm(&b); err != nil {
+				t.Errorf("scrape: %v", err)
+				return
+			}
+			r.HistogramSnapshots("x_seconds")
+		}
+	}()
+	wg.Wait()
+
+	snaps := r.HistogramSnapshots("x_seconds")
+	if want := creators*50 + 1; len(snaps) != want {
+		t.Fatalf("%d series, want %d", len(snaps), want)
+	}
+	var total uint64
+	for _, s := range snaps {
+		total += s.Count
+	}
+	if want := uint64((creators + observers) * perWorker); total != want {
+		t.Fatalf("%d observations, want %d", total, want)
+	}
+	if got := snaps["hot\xffseries"].Count; got != observers*perWorker {
+		t.Fatalf("hot series: %d observations, want %d", got, observers*perWorker)
+	}
+}
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("dup_metric", "x", func() float64 { return 0 })

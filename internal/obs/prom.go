@@ -45,36 +45,29 @@ func writeHeader(w *bufio.Writer, f *family) {
 }
 
 func writeHistogramFamily(w *bufio.Writer, f *family) {
-	type series struct {
-		values []string
-		snap   HistSnapshot
+	vec := f.vec.all()
+	keys := make([]string, 0, len(vec))
+	for k := range vec {
+		keys = append(keys, k)
 	}
-	var all []series
-	f.vec.m.Range(func(k, v any) bool {
-		all = append(all, series{
-			values: splitLabelValues(k.(string), len(f.labels)),
-			snap:   v.(*Histogram).Snapshot(),
-		})
-		return true
-	})
-	sort.Slice(all, func(i, j int) bool {
-		return joinLabelValues(all[i].values) < joinLabelValues(all[j].values)
-	})
+	sort.Strings(keys)
 	bounds := BucketBoundsSeconds()
-	for _, s := range all {
+	for _, k := range keys {
+		values := splitLabelValues(k, len(f.labels))
+		snap := vec[k].Snapshot()
 		var cum uint64
 		for i, b := range bounds {
-			cum += s.snap.Counts[i]
-			writeSample(w, f.name+"_bucket", f.labels, s.values, "le", b, float64(cum))
+			cum += snap.Counts[i]
+			writeSample(w, f.name+"_bucket", f.labels, values, "le", b, float64(cum))
 		}
-		cum += s.snap.Counts[len(s.snap.Counts)-1]
+		cum += snap.Counts[len(snap.Counts)-1]
 		w.WriteString(f.name + "_bucket")
-		writeLabels(w, f.labels, s.values, "le", "+Inf")
+		writeLabels(w, f.labels, values, "le", "+Inf")
 		w.WriteByte(' ')
 		w.WriteString(formatValue(float64(cum)))
 		w.WriteByte('\n')
-		writeSample(w, f.name+"_sum", f.labels, s.values, "", 0, float64(s.snap.SumNS)/1e9)
-		writeSample(w, f.name+"_count", f.labels, s.values, "", 0, float64(s.snap.Count))
+		writeSample(w, f.name+"_sum", f.labels, values, "", 0, float64(snap.SumNS)/1e9)
+		writeSample(w, f.name+"_count", f.labels, values, "", 0, float64(snap.Count))
 	}
 }
 

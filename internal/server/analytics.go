@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http"
 	"sort"
 	"strconv"
 
@@ -16,9 +15,9 @@ import (
 // through the versioned result cache. Each endpoint is a decoder
 // (request.go) that parses and canonicalises its parameters and forms
 // the cache key from the parsed values — "?mode=" and "?mode=allpairs"
-// share one entry — over either transport; serveCached/runCached
-// collapses concurrent identical requests and admits the compute
-// through the in-flight gate. Keys are appended with strconv rather
+// share one entry — over either transport; the cached-query pipeline
+// (request.go) and runCached collapse concurrent identical requests and
+// admit the compute through the in-flight gate. Keys are appended with strconv rather
 // than formatted with fmt — a decoder runs on every hit — and their
 // spelling is pinned byte for byte by TestCacheKeys, because carryKeep
 // parses closeness keys back.
@@ -39,10 +38,6 @@ type ComponentsResponse struct {
 	Largest   int    `json:"largestSize"`
 	Sizes     []int  `json:"sizes"`
 	Truncated bool   `json:"truncated,omitempty"`
-}
-
-func (s *Server) componentsWeak(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "components/weak")
 }
 
 func decodeComponentsWeak(s *Server, p *params) (string, func() (interface{}, error)) {
@@ -73,10 +68,6 @@ func decodeComponentsWeak(s *Server, p *params) (string, func() (interface{}, er
 		comps := components.WeakOpts(p.g, components.Options{Mode: mode})
 		return componentsResponse(comps, modeName(mode), 0, limit), nil
 	}
-}
-
-func (s *Server) componentsStrong(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "components/strong")
 }
 
 func decodeComponentsStrong(s *Server, p *params) (string, func() (interface{}, error)) {
@@ -117,10 +108,6 @@ type SizeDistributionResponse struct {
 	MeanSize  float64 `json:"meanSize"`
 	Sizes     []int   `json:"sizes"`
 	Truncated bool    `json:"truncated,omitempty"`
-}
-
-func (s *Server) componentsSizes(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "components/sizes")
 }
 
 func decodeComponentsSizes(s *Server, p *params) (string, func() (interface{}, error)) {
@@ -170,10 +157,6 @@ type InfluenceResponse struct {
 	Covered int                 `json:"covered"`
 }
 
-func (s *Server) influenceGreedy(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "influence/greedy")
-}
-
 func decodeInfluenceGreedy(s *Server, p *params) (string, func() (interface{}, error)) {
 	k := p.intRange("k", 0, 1, p.g.NumNodes())
 	mode := p.mode()
@@ -214,10 +197,6 @@ type ClosenessResponse struct {
 	Closeness float64          `json:"closeness"`
 }
 
-func (s *Server) closeness(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "closeness")
-}
-
 func decodeCloseness(s *Server, p *params) (string, func() (interface{}, error)) {
 	root := p.temporalNode("node", "stamp")
 	mode := p.mode()
@@ -243,10 +222,6 @@ type EfficiencyResponse struct {
 	ReachableFraction float64 `json:"reachableFraction"`
 	MeanDistance      float64 `json:"meanDistance"`
 	Diameter          int     `json:"diameter"`
-}
-
-func (s *Server) efficiency(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "efficiency")
 }
 
 func decodeEfficiency(s *Server, p *params) (string, func() (interface{}, error)) {
@@ -276,10 +251,6 @@ type KatzResponse struct {
 	Alpha float64     `json:"alpha"`
 	Mode  string      `json:"mode"`
 	Top   []KatzEntry `json:"top"`
-}
-
-func (s *Server) katz(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "katz")
 }
 
 func decodeKatz(s *Server, p *params) (string, func() (interface{}, error)) {

@@ -457,7 +457,7 @@ func TestCacheKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := s.paramsFor(q)
-		got, _ := cachedDecoders[c.endpoint](s, p)
+		got, _ := cachedDecoders[c.endpoint].decode(s, p)
 		if p.err != nil {
 			t.Fatalf("%s?%s: %v", c.endpoint, c.query, p.err)
 		}

@@ -19,13 +19,13 @@ import (
 func (s *Server) registerObs() {
 	r := s.reg
 	s.serveLat = r.Histogram("eg_serve_latency_seconds",
-		"Request serve latency by endpoint, cache outcome (miss/hit/collapsed/carried/stale; none for uncached endpoints, error for failed wire decodes) and transport (http/wire).",
+		"Request serve latency by endpoint (other for one the server does not serve), cache outcome (miss/hit/collapsed/carried/stale; none for uncached endpoints, error for any failed request) and transport (http/wire).",
 		"endpoint", "outcome", "transport")
 	s.computeLat = r.Histogram("eg_compute_latency_seconds",
 		"Successful analytics compute latency by endpoint — the distribution deadline-aware admission control compares remaining request budgets against (p99).",
 		"endpoint")
 	s.feedLag = r.Histogram("eg_feed_lag_seconds",
-		"Change-feed delivery lag: epoch publish to event handoff into a subscriber's write queue.").With()
+		"Change-feed delivery lag: epoch publish to the event frame's write onto a subscriber's connection.").With()
 
 	r.Gauge("eg_uptime_seconds", "Seconds since the server started.", func() float64 {
 		return time.Since(s.start).Seconds()

@@ -98,11 +98,11 @@ func scrapeProm(t *testing.T, srv *Server) map[string]*obs.PromFamily {
 func TestMetricsPromExposition(t *testing.T) {
 	srv := New(egraph.Figure1Graph(), Config{})
 
-	doGet(t, srv, "/katz")  // miss
-	doGet(t, srv, "/katz")  // hit
-	doGet(t, srv, "/katz")  // hit
-	doGet(t, srv, "/stats") // uncached → outcome "none"
-	doGet(t, srv, "/nosuch")
+	doGet(t, srv, "/katz")   // miss
+	doGet(t, srv, "/katz")   // hit
+	doGet(t, srv, "/katz")   // hit
+	doGet(t, srv, "/stats")  // uncached → outcome "none"
+	doGet(t, srv, "/nosuch") // a failure → outcome "error"
 
 	fams := scrapeProm(t, srv)
 	lat := fams["eg_serve_latency_seconds"]
@@ -116,7 +116,7 @@ func TestMetricsPromExposition(t *testing.T) {
 		{map[string]string{"endpoint": "/katz", "outcome": "miss", "transport": "http"}, 1},
 		{map[string]string{"endpoint": "/katz", "outcome": "hit", "transport": "http"}, 2},
 		{map[string]string{"endpoint": "/stats", "outcome": "none", "transport": "http"}, 1},
-		{map[string]string{"endpoint": "other", "outcome": "none", "transport": "http"}, 1},
+		{map[string]string{"endpoint": "other", "outcome": "error", "transport": "http"}, 1},
 	} {
 		h := lat.Find(want.match)
 		if h == nil {

@@ -8,7 +8,7 @@
 // expensive computations. cmd/egserve wires the handler to a listener;
 // cmd/egload replays mixed workloads against it.
 //
-// Endpoints (all GET, all JSON):
+// Endpoints (GET unless marked POST; JSON unless marked otherwise):
 //
 //	/stats                          graph summary
 //	/bfs?node=N&stamp=S[&mode=M][&direction=D]
@@ -27,21 +27,32 @@
 //	/ingest/stats                    write-path counters
 //	/ingest/checkpoint               POST to force a checkpoint now
 //	/healthz                         liveness + graph revision
+//	/readyz                          readiness + graph revision
 //	/metrics                         request/cache/in-flight counters
+//	/metrics.prom                    every metric family, Prometheus text
+//	/debug/traces                    retained sampled and slow traces
 //
 // mode is "allpairs" (default) or "consecutive"; direction is "forward"
-// (default) or "backward". Errors come back as {"error": "..."} with
-// status 400 (bad request) or 404 (inactive/unreachable). Endpoints
-// marked cached set an X-Cache response header to "miss", "hit" or
-// "collapsed" and an X-Graph-Revision header naming the snapshot the
-// answer was computed on; their results are keyed by (endpoint,
-// canonicalised params, graph revision), so ReplaceGraph invalidates
-// every cached answer at once. AttachIngest connects the durable write
-// path of internal/ingest, making the served graph live: accepted
-// mutation batches fold into fresh snapshots that the compactor
-// publishes through ReplaceGraph. The package Example exercises the
-// seed endpoints against the paper's Figure 1 graph; DESIGN.md §10–11
-// document the serving architecture and the write path.
+// (default) or "backward". Every failure answers the versioned error
+// envelope {"code","error","detail","revision"} (ErrorResponse) with
+// status 400 (bad request), 404 (unknown endpoint, inactive or
+// unreachable node), 429 (ingest backpressure), 500 (internal) or 503
+// (unavailable: degraded write path, exhausted budget, injected
+// fault); 429 and 503 carry Retry-After. Endpoints marked cached run
+// through one pipeline on both transports (request.go): their results
+// are keyed by (endpoint, canonicalised params, graph revision), so
+// ReplaceGraph invalidates every cached answer at once, and they set
+// an X-Cache header to "miss", "hit", "collapsed", "carried" (kept
+// across a swap by maintained analytics) or "stale" (Config.ServeStale)
+// and an X-Graph-Revision header naming the snapshot the answer
+// belongs to. ServeWire answers the same cached queries, ingest
+// batches and the change feed over the binary EGWP protocol (wire.go).
+// AttachIngest connects the durable write path of internal/ingest,
+// making the served graph live: accepted mutation batches fold into
+// fresh snapshots that the compactor publishes through ReplaceGraph.
+// The package Example exercises the seed endpoints against the paper's
+// Figure 1 graph; DESIGN.md §10–11 and §15–16 document the serving
+// architecture, the write path, EGWP and observability.
 package server
 
 import (
@@ -247,13 +258,6 @@ func New(g *egraph.IntEvolvingGraph, cfg Config) *Server {
 		{"/reach", s.reach},
 		{"/neighbors", s.neighbors},
 		{"/criteria", s.criteria},
-		{"/components/weak", s.componentsWeak},
-		{"/components/strong", s.componentsStrong},
-		{"/components/sizes", s.componentsSizes},
-		{"/influence/greedy", s.influenceGreedy},
-		{"/closeness", s.closeness},
-		{"/efficiency", s.efficiency},
-		{"/katz", s.katz},
 		{"/ingest/arcs", s.ingestArcs},
 		{"/ingest/stats", s.ingestStats},
 		{"/ingest/checkpoint", s.ingestCheckpoint},
@@ -266,11 +270,14 @@ func New(g *egraph.IntEvolvingGraph, cfg Config) *Server {
 		s.mux.HandleFunc(ep.path, ep.h)
 		s.requests[ep.path] = new(atomic.Int64)
 	}
-	// Unknown paths answer the same versioned error envelope as every
-	// other failure — no bare text/plain 404s on this surface.
-	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no such endpoint %q", r.URL.Path))
-	})
+	for _, ep := range cachedDecoders {
+		s.mux.HandleFunc(ep.path, s.serveQuery)
+		s.requests[ep.path] = new(atomic.Int64)
+	}
+	// Unknown paths reach the cached-query pipeline too, which answers
+	// them 404 in the same versioned error envelope as every other
+	// failure, on either transport.
+	s.mux.HandleFunc("/", s.serveQuery)
 	return s
 }
 
@@ -280,20 +287,15 @@ func New(g *egraph.IntEvolvingGraph, cfg Config) *Server {
 func Handler(g *egraph.IntEvolvingGraph) http.Handler { return New(g, Config{}) }
 
 // ServeHTTP dispatches to the endpoint handlers, counting requests per
-// endpoint and responses per status class for /metrics, and recording
-// serve latency into the endpoint × outcome × transport histogram.
-// Every request pins the current era for its whole lifetime, so any
-// graph snapshot it captures stays provably reachable until it
-// returns.
+// endpoint and responses per status class for /metrics. It keeps every
+// request's books (begin/end): the era is pinned for the request's
+// whole lifetime, so any graph snapshot it captures stays provably
+// reachable until it returns, and its serve latency is recorded under
+// the endpoint, the X-Cache outcome and transport "http".
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	e := s.pinEra()
-	defer s.unpinEra(e)
-	endpoint := r.URL.Path
-	if c, ok := s.requests[endpoint]; ok {
+	rq := s.begin()
+	if c, ok := s.requests[r.URL.Path]; ok {
 		c.Add(1)
-	} else {
-		endpoint = "other" // unknown paths share one label, bounding cardinality
 	}
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	s.mux.ServeHTTP(rec, r)
@@ -305,11 +307,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.class2xx.Add(1)
 	}
-	outcome := rec.Header().Get("X-Cache")
-	if outcome == "" {
-		outcome = "none" // uncached endpoint
-	}
-	s.serveLat.With(endpoint, outcome, "http").Observe(time.Since(start).Nanoseconds())
+	s.end(rq, r.URL.Path, rec.status, rec.Header().Get("X-Cache"), "http")
 }
 
 // Graph returns the currently served graph snapshot — the read side of
@@ -529,9 +527,9 @@ var errBudget = errors.New("server: remaining deadline budget below the endpoint
 // at the revision captured in p — the revision the request's graph
 // snapshot belongs to — computing at most once across concurrent
 // identical requests, with the computation itself admitted through the
-// in-flight gate. It is the transport-neutral core under both the HTTP
-// handlers and the wire loop: both form identical keys (request.go), so
-// both transports share every cache entry.
+// in-flight gate. It is the cached-query pipeline's second half
+// (cachedQuery.compute, request.go), so both transports form identical
+// keys and share every cache entry.
 //
 // ctx carries the request's deadline budget (X-Budget-Ms / _budget_ms,
 // see withBudget): waiting for the gate and for a singleflight leader
@@ -545,7 +543,7 @@ var errBudget = errors.New("server: remaining deadline budget below the endpoint
 // marshals the computed value inside its flight, once per (query,
 // revision), and every hit, collapse, carried entry and stale fallback
 // hands the same bytes on. The body ends in the newline HTTP answers
-// with; EGWP sends it without (wireConn.answer). A value that fails to
+// with; EGWP sends it without (wireConn.reply). A value that fails to
 // marshal is a failed compute, and so is not cached.
 func (s *Server) runCached(ctx context.Context, p *params, endpoint, key string, compute func() (interface{}, error)) ([]byte, qcache.Outcome, error) {
 	val, outcome, err := s.cache.DoAtCtx(ctx, p.rev, key, func(ctx context.Context) (interface{}, error) {
@@ -687,10 +685,6 @@ type ErrorResponse struct {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
-	s.writeErrorDetail(w, status, msg, "")
-}
-
-func (s *Server) writeErrorDetail(w http.ResponseWriter, status int, msg, detail string) {
 	// Every retriable failure carries the same retry hint: 429
 	// (backpressure) and 503 (degraded write path, budget rejection,
 	// bootstrap) all mean "same request, later". egclient treats the
@@ -701,7 +695,6 @@ func (s *Server) writeErrorDetail(w http.ResponseWriter, status int, msg, detail
 	s.writeJSON(w, status, ErrorResponse{
 		Code:     wire.CodeFromStatus(status).String(),
 		Error:    msg,
-		Detail:   detail,
 		Revision: s.Revision(),
 	})
 }

@@ -278,50 +278,6 @@ func TestCanonicalKeyAcrossTransports(t *testing.T) {
 	}
 }
 
-// TestErrorCodeParity issues the same failing requests over both
-// transports and asserts both produce a *RemoteError with the same
-// transport-neutral code and a non-empty message — the 1:1 mapping the
-// envelope satellite promises.
-func TestErrorCodeParity(t *testing.T) {
-	d := newDualServer(t, server.New(denseGraph(), server.Config{}))
-	cases := []struct {
-		name     string
-		endpoint string
-		params   url.Values
-		want     egclient.Code
-	}{
-		{"missing-k", "influence/greedy", nil, egclient.CodeBadRequest},
-		{"bad-mode", "components/weak", url.Values{"mode": {"bogus"}}, egclient.CodeBadRequest},
-		{"inactive-node", "closeness", url.Values{"node": {"5"}, "stamp": {"0"}}, egclient.CodeNotFound},
-		{"unknown-endpoint", "no/such/endpoint", nil, egclient.CodeNotFound},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			var codes [2]egclient.Code
-			var msgs [2]string
-			for i, c := range []*egclient.Client{d.http, d.wire} {
-				_, err := c.Query(ctx, tc.endpoint, tc.params, nil)
-				var re *egclient.RemoteError
-				if !errors.As(err, &re) {
-					t.Fatalf("client %d: error %v (%T), want *RemoteError", i, err, err)
-				}
-				codes[i], msgs[i] = re.Code, re.Message
-			}
-			if codes[0] != codes[1] {
-				t.Fatalf("codes diverge across transports: http=%v wire=%v", codes[0], codes[1])
-			}
-			if codes[0] != tc.want {
-				t.Fatalf("code = %v, want %v", codes[0], tc.want)
-			}
-			if msgs[0] == "" || msgs[1] == "" {
-				t.Fatalf("empty error message: http=%q wire=%q", msgs[0], msgs[1])
-			}
-		})
-	}
-}
-
 // TestWireQueryAcrossSwap pins that a wire query pins its snapshot era
 // like an HTTP request: answers carry the revision they were computed
 // on, and a swap invalidates (or carries) entries exactly as the HTTP

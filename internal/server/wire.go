@@ -16,18 +16,17 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/feed"
-	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/wire"
 )
 
 // The binary transport: ServeWire speaks the EGWP protocol
 // (internal/wire, DESIGN.md §15) on a second listener alongside HTTP.
-// Queries dispatch through the same request-decoding layer and
-// runCached core as the HTTP handlers — one qcache entry, holding one
-// encoded body, per answer across both transports — ingest batches
-// land in the same write path, and TSubscribe streams the change feed
-// that replaces X-Graph-Revision polling.
+// A TQuery is framing around the one cached-query pipeline HTTP uses
+// too (request.go) — one qcache entry, holding one encoded body, per
+// answer across both transports — ingest batches land in the same
+// write path, and TSubscribe streams the change feed that replaces
+// X-Graph-Revision polling.
 //
 // Per connection: one reader (this goroutine), a goroutine per query
 // that misses the cache (frames carry correlation ids, so clients
@@ -280,119 +279,55 @@ func (c *wireConn) pump(id uint32, sub *feed.Sub) {
 // keys.
 const budgetParam = "_budget_ms"
 
-// wireQuery is the bookkeeping of one TQuery between its decode and
-// its answer, which may be sent from another goroutine.
-type wireQuery struct {
-	id       uint32
-	endpoint string
-	start    time.Time
-	era      *era
-	tr       *obs.Trace
-	root     obs.SpanRef
-}
-
-// query answers one TQuery: same decoders, same cache, same gate as the
-// HTTP path, the same serve-latency histogram (transport "wire") and
-// the same trace spans — forced here by the FlagTrace bit instead of
-// an X-Trace header. The query pins the current era exactly like
-// ServeHTTP does, so graph snapshots it captures stay reachable.
-//
-// It runs on the reader goroutine, decodes the query once and looks
-// its key up; a hit is answered there and then. Only a miss or a
-// collapse — a compute, or a wait on someone else's — gets a goroutine
-// of its own, so a slow compute never stalls the frames pipelined
-// behind it, nor the ingest batches that must reach the WAL in order.
-// Its context is the connection's plus the query's declared budget
-// (budgetParam), so a torn-down connection or an exhausted budget
-// abandons the compute without poisoning collapsed followers.
-func (c *wireConn) query(id uint32, endpoint string, q url.Values, forced bool) {
-	s := c.s
-	wq := wireQuery{id: id, endpoint: endpoint, start: time.Now(), era: s.pinEra(), tr: s.tracer.Start(forced)}
-	wq.root = wq.tr.Span("serve", obs.RootSpan)
-	wq.root.Attr("endpoint", endpoint)
-	wq.root.Attr("transport", "wire")
-
-	var budget int64
-	if raw := q.Get(budgetParam); raw != "" {
-		budget, _ = strconv.ParseInt(raw, 10, 64)
-		delete(q, budgetParam)
+// query is the EGWP adapter of the cached-query pipeline (request.go):
+// FlagTrace forces a trace and budgetParam carries the deadline budget,
+// and the query keeps the same books as an HTTP request (begin/end).
+// It runs on the reader goroutine, which answers a hit or a failed
+// decode there and then. Only a miss or a collapse gets a goroutine of
+// its own, so a slow compute never stalls the frames pipelined behind
+// it, nor the ingest batches that must reach the WAL in order; the
+// connection's context lets a torn-down connection abandon the compute
+// without poisoning collapsed followers.
+func (c *wireConn) query(id uint32, endpoint string, values url.Values, forced bool) {
+	rq := c.s.begin()
+	q := cachedQuery{s: c.s, endpoint: endpoint, values: values, forced: forced, transport: "wire"}
+	if raw := values.Get(budgetParam); raw != "" {
+		q.budgetMs, _ = strconv.ParseInt(raw, 10, 64)
+		delete(values, budgetParam)
 	}
-
-	dec := wq.tr.Span("decode", wq.root)
-	p, key, compute, err := s.decodeCached(endpoint, q)
-	dec.End()
-	if err != nil {
-		status := http.StatusBadRequest
-		if _, known := cachedDecoders[endpoint]; !known {
-			status = http.StatusNotFound
-		}
-		c.fail(&wq, status, err.Error())
+	if q.lookup() {
+		c.reply(id, rq, &q)
 		return
 	}
-	dec.Attr("key", key)
-	wq.root.Attr("revision", strconv.FormatUint(p.rev, 10))
-
-	cacheSp := wq.tr.Span("cache", wq.root)
-	if val, outcome, ok := s.cache.Lookup(p.rev, key); ok {
-		cacheSp.Attr("outcome", outcome.String())
-		cacheSp.End()
-		c.answer(&wq, outcome, p.rev, val.([]byte))
-		return
-	}
-	mq := wq // the goroutine's own copy, so a hit's wq never leaves the stack
+	mq := q // the goroutine's own copy, so a hit's q never leaves the stack
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		ctx, cancel := withBudget(c.ctx, budget)
-		defer cancel()
-		body, outcome, err := s.runCached(ctx, p, endpoint, key, traceCompute(mq.tr, cacheSp, compute))
-		cacheSp.Attr("outcome", outcome.String())
-		cacheSp.End()
-		if err != nil {
-			c.fail(&mq, errStatus(err), err.Error())
-			return
-		}
-		c.answer(&mq, outcome, p.rev, body)
+		mq.compute(c.ctx)
+		c.reply(id, rq, &mq)
 	}()
 }
 
-// answer sends a query's stored body, without the newline HTTP ends
-// it with, and closes the query's books.
-func (c *wireConn) answer(wq *wireQuery, outcome qcache.Outcome, rev uint64, body []byte) {
-	enc := wq.tr.Span("encode", wq.root)
-	c.sendResult(wire.RResult, cacheFlag(outcome), wq.id, rev, body[:len(body)-1])
-	enc.End()
-	c.done(wq, outcome.String())
-}
-
-// fail sends a query's error and closes its books.
-func (c *wireConn) fail(wq *wireQuery, status int, msg string) {
-	c.sendError(wq.id, status, msg)
-	c.done(wq, "error")
-}
-
-// done ends the query's trace, releases its era pin and records its
-// serve latency.
-func (c *wireConn) done(wq *wireQuery, outcome string) {
-	wq.root.End()
-	wq.tr.Finish()
-	c.s.unpinEra(wq.era)
-	c.s.serveLat.With("/"+wq.endpoint, outcome, "wire").Observe(time.Since(wq.start).Nanoseconds())
+// reply sends a query's answer — an RResult with the stored body,
+// without the newline HTTP ends it with, and the cache outcome in its
+// flags; or an RError — and closes the query's books.
+func (c *wireConn) reply(id uint32, rq request, q *cachedQuery) {
+	q.reply(func() {
+		if q.status != http.StatusOK {
+			c.sendError(id, q.status, q.msg)
+			return
+		}
+		c.sendResult(wire.RResult, cacheFlag[q.outcome], id, q.rev, q.body[:len(q.body)-1])
+	})
+	c.s.end(rq, q.path, q.status, q.outcome.String(), "wire")
 }
 
 // cacheFlag is the RResult flags encoding of a cache outcome (the
 // binary X-Cache header).
-func cacheFlag(o qcache.Outcome) uint8 {
-	switch o {
-	case qcache.Hit:
-		return wire.CacheHit
-	case qcache.Collapsed:
-		return wire.CacheCollapsed
-	case qcache.Carried:
-		return wire.CacheCarried
-	case qcache.Stale:
-		return wire.CacheStale
-	default:
-		return wire.CacheMiss
-	}
+var cacheFlag = [...]uint8{
+	qcache.Miss:      wire.CacheMiss,
+	qcache.Hit:       wire.CacheHit,
+	qcache.Collapsed: wire.CacheCollapsed,
+	qcache.Carried:   wire.CacheCarried,
+	qcache.Stale:     wire.CacheStale,
 }

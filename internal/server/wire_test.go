@@ -149,7 +149,7 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // request decoding, the key, the trace and histogram plumbing — never
 // the answer. Raise a bound only for a reason that belongs on a hit.
 func TestHitAllocs(t *testing.T) {
-	const httpMax, wireMax = 12, 7
+	const httpMax, wireMax = 10, 4
 	s := New(egraph.Figure1Graph(), Config{})
 
 	req := httptest.NewRequest(http.MethodGet, "/closeness?node=0&stamp=0", nil)
