@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite API.txt from the root package's exported declarations")
+var updateAPI = flag.Bool("update", false, "rewrite API.txt and UNLINKED.txt from the tree")
 
 // TestAPIListed keeps API.txt equal to the root package's exported
 // top-level names, one "kind Name" per line, sorted. A change to the

@@ -17,7 +17,7 @@
 //     against one oracle search per root;
 //   - influence: influence.Greedy seed selection (k=5, CELF) with
 //     candidate reach sets from the CSR lane sweep;
-//   - closeness: metrics.GlobalEfficiency — the all-pairs efficiency
+//   - closeness: metrics.GlobalEfficiencyOpts — the all-pairs efficiency
 //     sweep, summed per distance from the lane sweep's level sizes;
 //   - compact: epoch-compaction latency vs delta size — the
 //     incremental copy-on-write PatchEvents + parallel arena-reused

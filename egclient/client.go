@@ -145,9 +145,6 @@ func (q ComponentsQuery) values() url.Values {
 	return v
 }
 
-// Int is a *int literal helper for optional query fields.
-func Int(v int) *int { return &v }
-
 // ComponentsWeak is GET /components/weak.
 func (c *Client) ComponentsWeak(ctx context.Context, q ComponentsQuery) (*ComponentsResponse, Meta, error) {
 	var resp ComponentsResponse

@@ -142,12 +142,6 @@ func NewBuilder(directed bool) *Builder { return egraph.NewBuilder(directed) }
 // NewWeightedBuilder returns a Builder whose edges carry weights.
 func NewWeightedBuilder(directed bool) *Builder { return egraph.NewWeightedBuilder(directed) }
 
-// NewLabeledGraph returns an evolving graph over arbitrary comparable
-// node labels (e.g. author names).
-func NewLabeledGraph[N comparable](directed bool) *egraph.EvolvingGraph[N] {
-	return egraph.NewEvolvingGraph[N](directed)
-}
-
 // BFS runs the paper's Algorithm 1 from root.
 func BFS(g *Graph, root TemporalNode, opts Options) (*Result, error) {
 	return core.BFS(g, root, opts)
@@ -209,20 +203,6 @@ func SparseABFS(g *Graph, root TemporalNode, mode CausalMode) (algebra.Reached, 
 	return algebra.SparseABFS(g, root, mode)
 }
 
-// DFSEvent labels depth-first traversal callbacks.
-type DFSEvent = core.DFSEvent
-
-// Depth-first traversal events.
-const (
-	Discover = core.Discover
-	Finish   = core.Finish
-)
-
-// DFS runs a depth-first traversal over temporal forward neighbours.
-func DFS(g *Graph, root TemporalNode, opts Options, visit func(TemporalNode, DFSEvent) bool) error {
-	return core.DFS(g, root, opts, visit)
-}
-
 // ErrCyclic is returned by TopologicalOrder for cyclic snapshots.
 var ErrCyclic = core.ErrCyclic
 
@@ -236,20 +216,6 @@ func TopologicalOrder(g *Graph, mode CausalMode) ([]TemporalNode, error) {
 // hypothesis).
 func IsTemporalDAG(g *Graph) bool { return core.IsTemporalDAG(g) }
 
-// Closure is the all-pairs temporal reachability relation.
-type Closure = core.Closure
-
-// TransitiveClosure computes Def. 7 reachability between every pair of
-// active temporal nodes.
-func TransitiveClosure(g *Graph, mode CausalMode) *Closure {
-	return core.TransitiveClosure(g, mode)
-}
-
-// TemporalDiameter is the largest finite temporal distance in g.
-func TemporalDiameter(g *Graph, mode CausalMode) int {
-	return core.TemporalDiameter(g, mode)
-}
-
 // SourceStats summarises one source of an all-sources BFS sweep.
 type SourceStats = core.SourceStats
 
@@ -260,12 +226,6 @@ func AllSourcesBFS(g *Graph, mode CausalMode, workers int) []SourceStats {
 	return core.AllSourcesBFS(g, mode, workers)
 }
 
-// EarliestArrival returns, per node, the earliest stamp reachable from
-// root (-1 if unreachable).
-func EarliestArrival(g *Graph, root TemporalNode, mode CausalMode) ([]int32, error) {
-	return core.EarliestArrival(g, root, mode)
-}
-
 // EfficiencyStats summarises global temporal connectivity.
 type EfficiencyStats = metrics.EfficiencyStats
 
@@ -274,14 +234,10 @@ type EfficiencyStats = metrics.EfficiencyStats
 // default CSR engine) and worker fan-out.
 type MetricOptions = metrics.Options
 
-// GlobalEfficiency computes mean inverse distance, reachable-pair
-// fraction, mean distance and diameter over all ordered pairs.
-func GlobalEfficiency(g *Graph, mode CausalMode) EfficiencyStats {
-	return metrics.GlobalEfficiency(g, mode)
-}
-
-// GlobalEfficiencyOpts is GlobalEfficiency with engine and worker
-// control; results are bit-identical across engines and worker counts.
+// GlobalEfficiencyOpts computes mean inverse distance, reachable-pair
+// fraction, mean distance and diameter over all ordered pairs, with
+// engine and worker control; results are bit-identical across engines
+// and worker counts.
 func GlobalEfficiencyOpts(g *Graph, opts MetricOptions) EfficiencyStats {
 	return metrics.GlobalEfficiencyOpts(g, opts)
 }
@@ -359,12 +315,8 @@ func DynamicWalkDistance(g *Graph, from, to TemporalNode, mode CausalMode) (int,
 	return metrics.DynamicWalkDistance(g, from, to, mode)
 }
 
-// TemporalCloseness is harmonic closeness over temporal distances.
-func TemporalCloseness(g *Graph, root TemporalNode, mode CausalMode) (float64, error) {
-	return metrics.TemporalCloseness(g, root, mode)
-}
-
-// TemporalClosenessOpts is TemporalCloseness with engine control.
+// TemporalClosenessOpts is harmonic closeness over temporal distances,
+// with engine control.
 func TemporalClosenessOpts(g *Graph, root TemporalNode, opts MetricOptions) (float64, error) {
 	return metrics.TemporalClosenessOpts(g, root, opts)
 }

@@ -81,7 +81,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if d, err := evolving.DynamicWalkDistance(g, root, target, evolving.CausalAllPairs); err != nil || d != 1 {
 		t.Fatalf("dynamic-walk distance = %d, want 1", d)
 	}
-	if c, err := evolving.TemporalCloseness(g, root, evolving.CausalAllPairs); err != nil || c <= 0 {
+	if c, err := evolving.TemporalClosenessOpts(g, root, evolving.MetricOptions{}); err != nil || c <= 0 {
 		t.Fatal("closeness wrong")
 	}
 }
@@ -122,24 +122,6 @@ func TestPublicAPIGameAndGenerators(t *testing.T) {
 	scores, err := an.RankByInfluence(3)
 	if err != nil || len(scores) != 3 {
 		t.Fatal("RankByInfluence wrong")
-	}
-}
-
-func TestPublicAPILabeledGraph(t *testing.T) {
-	lg := evolving.NewLabeledGraph[string](true)
-	lg.AddEdge("knuth", "dijkstra", 1970)
-	lg.AddEdge("lamport", "knuth", 1980)
-	g := lg.Freeze()
-	id, ok := lg.IDOf("knuth")
-	if !ok {
-		t.Fatal("label lost")
-	}
-	res, err := evolving.BFS(g, evolving.TemporalNode{Node: id, Stamp: 0}, evolving.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumReached() < 2 {
-		t.Fatal("labeled BFS wrong")
 	}
 }
 

@@ -69,24 +69,3 @@ func ExampleABFS() {
 	// Output:
 	// 3
 }
-
-// Labelled graphs intern arbitrary comparable keys — here author names
-// in a tiny citation network.
-func ExampleNewLabeledGraph() {
-	net := evolving.NewLabeledGraph[string](true)
-	net.AddEdge("zhang", "chen", 2015) // zhang cites chen in 2015
-	net.AddEdge("higham", "zhang", 2016)
-	g := net.Freeze()
-
-	chen, _ := net.IDOf("chen")
-	// Influence flows against citation edges, forward in time.
-	res, err := evolving.BFS(g,
-		evolving.TemporalNode{Node: chen, Stamp: 0},
-		evolving.Options{ReverseEdges: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("temporal nodes influenced:", res.NumReached())
-	// Output:
-	// temporal nodes influenced: 4
-}

@@ -41,9 +41,6 @@ func NewAnalyzer(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) (*Analyzer,
 	return &Analyzer{g: g, mode: mode}, nil
 }
 
-// Graph returns the underlying evolving graph.
-func (a *Analyzer) Graph() *egraph.IntEvolvingGraph { return a.g }
-
 // InfluenceSet is the result of an influence query: a set of temporal
 // nodes together with the distinct authors among them.
 type InfluenceSet struct {
@@ -62,28 +59,9 @@ func (s *InfluenceSet) ContainsAuthor(author int32) bool {
 	return int(author) < s.authors.Len() && s.authors.Get(int(author))
 }
 
-// Authors returns the distinct author ids in ascending order.
-func (s *InfluenceSet) Authors() []int32 {
-	out := make([]int32, 0, s.authors.Count())
-	for v := s.authors.NextSet(0); v >= 0; v = s.authors.NextSet(v + 1) {
-		out = append(out, int32(v))
-	}
-	return out
-}
-
 // TemporalNodes returns the reached temporal nodes.
 func (s *InfluenceSet) TemporalNodes() []egraph.TemporalNode {
 	return append([]egraph.TemporalNode(nil), s.nodes...)
-}
-
-// Dist returns the BFS distance of a temporal node from the query root,
-// or -1 when the underlying search is a union (Community) or the node
-// was not reached.
-func (s *InfluenceSet) Dist(tn egraph.TemporalNode) int {
-	if s.res == nil {
-		return -1
-	}
-	return s.res.Dist(tn)
 }
 
 // Influence computes T(author, stamp): every author influenced by the

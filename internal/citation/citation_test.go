@@ -36,7 +36,7 @@ func TestInfluenceChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if set.NumAuthors() != 4 {
-		t.Fatalf("influence of author 0 = %v, want 4 authors", set.Authors())
+		t.Fatalf("influence of author 0 = %v, want 4 authors", set.authors)
 	}
 	for _, author := range []int32{0, 1, 2, 3} {
 		if !set.ContainsAuthor(author) {
@@ -49,7 +49,7 @@ func TestInfluenceChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if set3.NumAuthors() != 1 {
-		t.Fatalf("influence of author 3 = %v, want just itself", set3.Authors())
+		t.Fatalf("influence of author 3 = %v, want just itself", set3.authors)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestInfluencersChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if set.NumAuthors() != 4 {
-		t.Fatalf("influencers of author 3 = %v, want 4 authors", set.Authors())
+		t.Fatalf("influencers of author 3 = %v, want 4 authors", set.authors)
 	}
 	// T⁻¹ of author 0 (cited only): nobody influenced 0.
 	set0, err := a.Influencers(0, 0)
@@ -69,7 +69,7 @@ func TestInfluencersChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if set0.NumAuthors() != 1 {
-		t.Fatalf("influencers of author 0 = %v, want just itself", set0.Authors())
+		t.Fatalf("influencers of author 0 = %v, want just itself", set0.authors)
 	}
 }
 
@@ -145,12 +145,12 @@ func TestCommunityDiamond(t *testing.T) {
 	}
 	for _, author := range []int32{0, 1, 2, 3} {
 		if !com.ContainsAuthor(author) {
-			t.Fatalf("author %d missing from community %v", author, com.Authors())
+			t.Fatalf("author %d missing from community %v", author, com.authors)
 		}
 	}
-	// Community Dist is undefined (union of searches).
-	if com.Dist(tn(0, 0)) != -1 {
-		t.Fatal("community Dist should be -1")
+	// A community is a union of searches, so it keeps no distances.
+	if com.res != nil {
+		t.Fatal("community kept a search result")
 	}
 }
 
@@ -169,10 +169,10 @@ func TestCommunitySeparateSchools(t *testing.T) {
 		t.Fatal(err)
 	}
 	if com.ContainsAuthor(2) || com.ContainsAuthor(3) {
-		t.Fatalf("community of author 1 leaked into the other school: %v", com.Authors())
+		t.Fatalf("community of author 1 leaked into the other school: %v", com.authors)
 	}
 	if !com.ContainsAuthor(0) || !com.ContainsAuthor(1) {
-		t.Fatalf("community of author 1 incomplete: %v", com.Authors())
+		t.Fatalf("community of author 1 incomplete: %v", com.authors)
 	}
 }
 
@@ -236,8 +236,8 @@ func TestSyntheticNetworkInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, author := range set.Authors() {
-		if firstPub[author] < 0 && len(g.ActiveStamps(author)) == 0 {
+	for author := set.authors.NextSet(0); author >= 0; author = set.authors.NextSet(author + 1) {
+		if firstPub[author] < 0 && len(g.ActiveStamps(int32(author))) == 0 {
 			t.Fatalf("influenced author %d never appeared in the network", author)
 		}
 	}
@@ -264,10 +264,7 @@ func TestInfluenceSetAccessors(t *testing.T) {
 	if set.TemporalNodes()[0] == tn(99, 0) && len(nodes) == 1 {
 		t.Fatal("TemporalNodes aliases internal storage")
 	}
-	if set.Dist(tn(0, 0)) != 0 {
+	if set.res.Dist(tn(0, 0)) != 0 {
 		t.Fatal("root distance should be 0")
-	}
-	if a.Graph() == nil {
-		t.Fatal("Graph accessor nil")
 	}
 }

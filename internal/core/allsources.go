@@ -37,27 +37,3 @@ func AllSourcesBFS(g *egraph.IntEvolvingGraph, mode egraph.CausalMode, workers i
 	})
 	return out
 }
-
-// EarliestArrival returns, for every node w, the earliest stamp index at
-// which information leaving root can reach w — the classic
-// earliest-arrival semantics of temporal reachability, derived from one
-// Algorithm 1 run by taking the minimum stamp over w's reached temporal
-// nodes. Unreachable nodes map to -1; root's own node maps to its
-// starting stamp.
-func EarliestArrival(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, mode egraph.CausalMode) ([]int32, error) {
-	res, err := BFS(g, root, Options{Mode: mode})
-	if err != nil {
-		return nil, err
-	}
-	arrival := make([]int32, g.NumNodes())
-	for i := range arrival {
-		arrival[i] = -1
-	}
-	res.Visit(func(tn egraph.TemporalNode, _ int) bool {
-		if cur := arrival[tn.Node]; cur < 0 || tn.Stamp < cur {
-			arrival[tn.Node] = tn.Stamp
-		}
-		return true
-	})
-	return arrival, nil
-}

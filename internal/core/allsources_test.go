@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/egraph"
+	"repro/internal/gen"
 )
 
 func TestAllSourcesBFSFigure1(t *testing.T) {
@@ -23,6 +24,35 @@ func TestAllSourcesBFSFigure1(t *testing.T) {
 	last := stats[len(stats)-1]
 	if last.Root != tn(2, 2) || last.Reached != 1 || last.Closeness != 0 {
 		t.Fatalf("sink stats = %+v", last)
+	}
+}
+
+// AllSourcesBFS writes each source's stats from concurrent LaneSweep
+// callbacks, one batch of 64 roots each: on a graph with several
+// batches, every source must still agree with one BFS from its root,
+// for one worker and for GOMAXPROCS workers.
+func TestAllSourcesBFSManyBatches(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		g := gen.Random(gen.RandomConfig{Nodes: 120, Stamps: 4, Edges: 500, Directed: directed, Seed: 5})
+		active := g.ActiveTemporalNodes()
+		if len(active) <= 2*laneWidth {
+			t.Fatalf("%d active temporal nodes, want more than %d", len(active), 2*laneWidth)
+		}
+		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
+			for _, workers := range []int{1, 0} {
+				stats := AllSourcesBFS(g, mode, workers)
+				for i, root := range active {
+					res, err := BFS(g, root, Options{Mode: mode})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st := stats[i]; st.Root != root || st.Reached != res.NumReached() || st.Eccentricity != res.MaxDist() {
+						t.Fatalf("directed=%v %v workers=%d: stats[%d] = %+v, BFS from %v reached %d, eccentricity %d",
+							directed, mode, workers, i, st, root, res.NumReached(), res.MaxDist())
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -59,106 +89,6 @@ func TestAllSourcesBFSMatchesSequential(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the diameter is the largest eccentricity of one BFS per
-// active root, in both causal modes.
-func TestTemporalDiameterMatchesBFS(t *testing.T) {
-	f := func(seed int64, directed bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, directed)
-		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
-			want := 0
-			for _, root := range g.ActiveTemporalNodes() {
-				res, err := BFS(g, root, Options{Mode: mode})
-				if err != nil {
-					return false
-				}
-				want = max(want, res.MaxDist())
-			}
-			if TemporalDiameter(g, mode) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEarliestArrivalFigure1(t *testing.T) {
-	g := egraph.Figure1Graph()
-	arr, err := EarliestArrival(g, tn(0, 0), egraph.CausalAllPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From (1,t1): node 1 at t1 (itself), node 2 at t1, node 3 at t2.
-	want := []int32{0, 0, 1}
-	for v, w := range want {
-		if arr[v] != w {
-			t.Fatalf("arrival = %v, want %v", arr, want)
-		}
-	}
-	// From (1,t2): node 2 never reached.
-	arr2, err := EarliestArrival(g, tn(0, 1), egraph.CausalAllPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr2[1] != -1 {
-		t.Fatalf("node 2 arrival = %d, want -1", arr2[1])
-	}
-	if arr2[2] != 1 {
-		t.Fatalf("node 3 arrival = %d, want 1", arr2[2])
-	}
-	if _, err := EarliestArrival(g, tn(2, 0), egraph.CausalAllPairs); err == nil {
-		t.Fatal("inactive root should fail")
-	}
-}
-
-// Property: earliest arrival is monotone under edge addition (adding
-// edges can only make arrivals earlier or equal).
-func TestEarliestArrivalMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b1 := egraph.NewBuilder(true)
-		b2 := egraph.NewBuilder(true)
-		n := 3 + rng.Intn(6)
-		stamps := 2 + rng.Intn(3)
-		b1.AddEdge(0, 1, 1)
-		b2.AddEdge(0, 1, 1)
-		for e := 0; e < 2*n; e++ {
-			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-			ts := int64(1 + rng.Intn(stamps))
-			b1.AddEdge(u, v, ts)
-			b2.AddEdge(u, v, ts)
-		}
-		// b2 gets extra edges.
-		for e := 0; e < n; e++ {
-			b2.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), int64(1+rng.Intn(stamps)))
-		}
-		g1, g2 := b1.Build(), b2.Build()
-		if g1.NumStamps() != g2.NumStamps() {
-			return true // stamp sets differ; skip
-		}
-		a1, err := EarliestArrival(g1, tn(0, 0), egraph.CausalAllPairs)
-		if err != nil {
-			return true
-		}
-		a2, err := EarliestArrival(g2, tn(0, 0), egraph.CausalAllPairs)
-		if err != nil {
-			return true
-		}
-		for v := 0; v < g1.NumNodes(); v++ {
-			if a1[v] >= 0 && (a2[v] < 0 || a2[v] > a1[v]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

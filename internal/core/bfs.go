@@ -30,7 +30,8 @@ const (
 	Forward Direction = iota
 	// Backward searches against edges and backward in time
 	// (provenance: everything that can reach the root). Equivalent to
-	// a Forward search on g.TimeReverse().
+	// a Forward search on the time-reversed graph (every edge flipped,
+	// stamp order reversed).
 	Backward
 )
 
@@ -91,9 +92,6 @@ type Result struct {
 	bitmapLevels int // levels the CSR engine expanded on bitmaps
 	work         int // static and causal arcs the CSR engine examined plus bitmap words it scanned
 }
-
-// Root returns the search root.
-func (r *Result) Root() egraph.TemporalNode { return r.root }
 
 // Reached reports whether (v, t) was reached (Def. 7 reachability).
 func (r *Result) Reached(tn egraph.TemporalNode) bool {
@@ -161,17 +159,6 @@ func (r *Result) DistinctNodes() int {
 		}
 	}
 	return seen.Count()
-}
-
-// ReachedNodes returns all reached temporal nodes (root included) in
-// unspecified order.
-func (r *Result) ReachedNodes() []egraph.TemporalNode {
-	out := make([]egraph.TemporalNode, 0, r.reached)
-	r.Visit(func(tn egraph.TemporalNode, _ int) bool {
-		out = append(out, tn)
-		return true
-	})
-	return out
 }
 
 // PathTo reconstructs a shortest temporal path from the root to (v, t)
@@ -389,17 +376,6 @@ func visitNeighborsOpts(g *egraph.IntEvolvingGraph, tn egraph.TemporalNode,
 func ForwardNeighbors(g *egraph.IntEvolvingGraph, tn egraph.TemporalNode, mode egraph.CausalMode) []egraph.TemporalNode {
 	var out []egraph.TemporalNode
 	visitNeighbors(g, tn, mode, Forward, func(nb egraph.TemporalNode) bool {
-		out = append(out, nb)
-		return true
-	})
-	return out
-}
-
-// BackwardNeighbors returns the temporal nodes of which (v, t) is a
-// forward neighbour.
-func BackwardNeighbors(g *egraph.IntEvolvingGraph, tn egraph.TemporalNode, mode egraph.CausalMode) []egraph.TemporalNode {
-	var out []egraph.TemporalNode
-	visitNeighbors(g, tn, mode, Backward, func(nb egraph.TemporalNode) bool {
 		out = append(out, nb)
 		return true
 	})

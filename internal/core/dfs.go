@@ -6,73 +6,6 @@ import (
 	"repro/internal/egraph"
 )
 
-// DFSEvent labels the callbacks of the temporal depth-first search.
-type DFSEvent int
-
-const (
-	// Discover fires when a temporal node is first visited.
-	Discover DFSEvent = iota
-	// Finish fires when a temporal node's subtree is exhausted.
-	Finish
-)
-
-// DFS runs a depth-first traversal over the forward-neighbour relation
-// from root, invoking visit for Discover and Finish events. Returning
-// false from visit aborts the walk. The traversal is iterative, so deep
-// temporal graphs cannot overflow the goroutine stack.
-func DFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options,
-	visit func(tn egraph.TemporalNode, ev DFSEvent) bool) error {
-	if err := checkRoot(g, root); err != nil {
-		return err
-	}
-	size := g.NumNodes() * g.NumStamps()
-	seen := make([]bool, size)
-
-	type frame struct {
-		id  int32
-		nbs []egraph.TemporalNode
-		i   int
-	}
-	push := func(stack []frame, tn egraph.TemporalNode) []frame {
-		id := g.TemporalNodeID(tn)
-		seen[id] = true
-		return append(stack, frame{id: int32(id), nbs: neighborsOf(g, tn, opts)})
-	}
-	if !visit(root, Discover) {
-		return nil
-	}
-	stack := push(nil, root)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.i < len(f.nbs) {
-			nb := f.nbs[f.i]
-			f.i++
-			if !seen[g.TemporalNodeID(nb)] {
-				if !visit(nb, Discover) {
-					return nil
-				}
-				stack = push(stack, nb)
-			}
-			continue
-		}
-		tn := g.TemporalNodeFromID(int(f.id))
-		stack = stack[:len(stack)-1]
-		if !visit(tn, Finish) {
-			return nil
-		}
-	}
-	return nil
-}
-
-func neighborsOf(g *egraph.IntEvolvingGraph, tn egraph.TemporalNode, opts Options) []egraph.TemporalNode {
-	var out []egraph.TemporalNode
-	visitNeighborsOpts(g, tn, opts, func(nb egraph.TemporalNode) bool {
-		out = append(out, nb)
-		return true
-	})
-	return out
-}
-
 // ErrCyclic is returned by TopologicalOrder when some snapshot contains
 // a directed cycle (the unfolded graph is a DAG iff every snapshot is
 // acyclic — the graph-side reading of Lemma 1).

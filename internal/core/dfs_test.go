@@ -8,93 +8,6 @@ import (
 	"repro/internal/egraph"
 )
 
-func TestDFSVisitsReachableSet(t *testing.T) {
-	g := egraph.Figure1Graph()
-	var discovered, finished []egraph.TemporalNode
-	err := DFS(g, tn(0, 0), Options{}, func(n egraph.TemporalNode, ev DFSEvent) bool {
-		if ev == Discover {
-			discovered = append(discovered, n)
-		} else {
-			finished = append(finished, n)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(discovered) != 6 || len(finished) != 6 {
-		t.Fatalf("discovered %d, finished %d, want 6/6", len(discovered), len(finished))
-	}
-	if discovered[0] != tn(0, 0) {
-		t.Fatal("root not discovered first")
-	}
-	// The root finishes last in a DFS from a single root.
-	if finished[len(finished)-1] != tn(0, 0) {
-		t.Fatalf("root should finish last, got %v", finished)
-	}
-}
-
-func TestDFSEarlyAbort(t *testing.T) {
-	g := egraph.Figure1Graph()
-	count := 0
-	err := DFS(g, tn(0, 0), Options{}, func(n egraph.TemporalNode, ev DFSEvent) bool {
-		if ev == Discover {
-			count++
-		}
-		return count < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("visited %d, want abort at 2", count)
-	}
-}
-
-func TestDFSInactiveRoot(t *testing.T) {
-	g := egraph.Figure1Graph()
-	if err := DFS(g, tn(2, 0), Options{}, func(egraph.TemporalNode, DFSEvent) bool { return true }); err == nil {
-		t.Fatal("inactive root should fail")
-	}
-}
-
-// Property: DFS discovers exactly the BFS-reachable set.
-func TestDFSMatchesBFSReachability(t *testing.T) {
-	f := func(seed int64, directed bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, directed)
-		u := g.Unfold(egraph.CausalAllPairs)
-		for _, root := range u.Order {
-			bfs, err := BFS(g, root, Options{})
-			if err != nil {
-				return false
-			}
-			seen := map[egraph.TemporalNode]bool{}
-			err = DFS(g, root, Options{}, func(n egraph.TemporalNode, ev DFSEvent) bool {
-				if ev == Discover {
-					seen[n] = true
-				}
-				return true
-			})
-			if err != nil {
-				return false
-			}
-			if len(seen) != bfs.NumReached() {
-				return false
-			}
-			for n := range seen {
-				if !bfs.Reached(n) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTopologicalOrderFigure1(t *testing.T) {
 	g := egraph.Figure1Graph()
 	order, err := TopologicalOrder(g, egraph.CausalAllPairs)

@@ -21,10 +21,8 @@ type WeightedOptions struct {
 
 // WeightedResult holds weighted shortest-path distances from a root.
 type WeightedResult struct {
-	g      *egraph.IntEvolvingGraph
-	root   egraph.TemporalNode
-	dist   []float64 // +Inf = unreachable
-	parent []int32
+	g    *egraph.IntEvolvingGraph
+	dist []float64 // +Inf = unreachable
 }
 
 // Dist returns the weighted distance to (v, t); +Inf if unreachable.
@@ -35,27 +33,6 @@ func (r *WeightedResult) Dist(tn egraph.TemporalNode) float64 {
 // Reached reports whether (v, t) is reachable from the root.
 func (r *WeightedResult) Reached(tn egraph.TemporalNode) bool {
 	return !math.IsInf(r.dist[r.g.TemporalNodeID(tn)], 1)
-}
-
-// PathTo reconstructs a cheapest temporal path to (v, t), root first;
-// nil if unreachable.
-func (r *WeightedResult) PathTo(tn egraph.TemporalNode) TemporalPath {
-	if !r.Reached(tn) {
-		return nil
-	}
-	var rev TemporalPath
-	cur := tn
-	for {
-		rev = append(rev, cur)
-		if cur == r.root {
-			break
-		}
-		cur = r.g.TemporalNodeFromID(int(r.parent[r.g.TemporalNodeID(cur)]))
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
 
 // ErrNegativeWeight is returned when Dijkstra encounters a negative edge
@@ -74,15 +51,9 @@ func WeightedShortestPaths(g *egraph.IntEvolvingGraph, root egraph.TemporalNode,
 		return nil, ErrNegativeWeight
 	}
 	size := g.NumNodes() * g.NumStamps()
-	r := &WeightedResult{
-		g:      g,
-		root:   root,
-		dist:   make([]float64, size),
-		parent: make([]int32, size),
-	}
+	r := &WeightedResult{g: g, dist: make([]float64, size)}
 	for i := range r.dist {
 		r.dist[i] = math.Inf(1)
-		r.parent[i] = -1
 	}
 	rootID := g.TemporalNodeID(root)
 	r.dist[rootID] = 0
@@ -111,14 +82,14 @@ func WeightedShortestPaths(g *egraph.IntEvolvingGraph, root egraph.TemporalNode,
 				negErr = ErrNegativeWeight
 				break
 			}
-			relax(r, h, id, g.TemporalNodeID(egraph.TemporalNode{Node: w, Stamp: t}), d+cost)
+			relax(r, h, g.TemporalNodeID(egraph.TemporalNode{Node: w, Stamp: t}), d+cost)
 		}
 		if negErr != nil {
 			break
 		}
 		// Causal hops.
 		visitCausal(g, tn, opts.Mode, func(nb egraph.TemporalNode) {
-			relax(r, h, id, g.TemporalNodeID(nb), d+opts.CausalWeight)
+			relax(r, h, g.TemporalNodeID(nb), d+opts.CausalWeight)
 		})
 	}
 	if negErr != nil {
@@ -127,10 +98,9 @@ func WeightedShortestPaths(g *egraph.IntEvolvingGraph, root egraph.TemporalNode,
 	return r, nil
 }
 
-func relax(r *WeightedResult, h *ds.MinHeap, from, to int, nd float64) {
+func relax(r *WeightedResult, h *ds.MinHeap, to int, nd float64) {
 	if nd < r.dist[to] {
 		r.dist[to] = nd
-		r.parent[to] = int32(from)
 		h.Push(nd, to)
 	}
 }

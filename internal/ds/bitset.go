@@ -86,16 +86,6 @@ func (b *BitSet) ResetFirst(n int) {
 	}
 }
 
-// Any reports whether at least one bit is set.
-func (b *BitSet) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NextSet returns the index of the first set bit at or after i, or -1 if
 // there is none. It allows iteration:
 //
@@ -135,26 +125,6 @@ func (b *BitSet) Or(other *BitSet) {
 	}
 	for i, w := range other.words {
 		b.words[i] |= w
-	}
-}
-
-// And sets b to the intersection of b and other.
-func (b *BitSet) And(other *BitSet) {
-	if b.n != other.n {
-		panic("ds: BitSet size mismatch in And")
-	}
-	for i, w := range other.words {
-		b.words[i] &= w
-	}
-}
-
-// AndNot clears every bit of b that is set in other.
-func (b *BitSet) AndNot(other *BitSet) {
-	if b.n != other.n {
-		panic("ds: BitSet size mismatch in AndNot")
-	}
-	for i, w := range other.words {
-		b.words[i] &^= w
 	}
 }
 
@@ -243,27 +213,6 @@ func (b *BitSet) Blit(src *BitSet, n, off int) {
 			b.Set(off + i)
 		}
 	}
-}
-
-// Equal reports whether b and other hold the same bits and capacity.
-func (b *BitSet) Equal(other *BitSet) bool {
-	if b.n != other.n {
-		return false
-	}
-	for i, w := range b.words {
-		if w != other.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Slice appends the indices of all set bits to dst and returns it.
-func (b *BitSet) Slice(dst []int) []int {
-	for i := b.NextSet(0); i >= 0; i = b.NextSet(i + 1) {
-		dst = append(dst, i)
-	}
-	return dst
 }
 
 // String renders the set as {i, j, ...} for debugging.

@@ -23,7 +23,7 @@ func TestBitSetResetFirst(t *testing.T) {
 		}
 	}
 	b.ResetFirst(10_000) // past capacity: full reset
-	if b.Any() {
+	if b.Count() != 0 {
 		t.Fatal("ResetFirst past capacity left bits set")
 	}
 }
@@ -33,7 +33,7 @@ func TestBitSetBasic(t *testing.T) {
 	if b.Len() != 130 {
 		t.Fatalf("Len = %d, want 130", b.Len())
 	}
-	if b.Any() {
+	if b.Count() != 0 {
 		t.Fatal("new set should be empty")
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
@@ -116,18 +116,6 @@ func TestBitSetSetOps(t *testing.T) {
 	if u.Count() != 3 || !u.Get(1) || !u.Get(70) || !u.Get(99) {
 		t.Fatalf("union wrong: %v", u)
 	}
-
-	i := a.Clone()
-	i.And(b)
-	if i.Count() != 1 || !i.Get(70) {
-		t.Fatalf("intersection wrong: %v", i)
-	}
-
-	d := a.Clone()
-	d.AndNot(b)
-	if d.Count() != 1 || !d.Get(1) {
-		t.Fatalf("difference wrong: %v", d)
-	}
 }
 
 func TestBitSetCloneIndependence(t *testing.T) {
@@ -138,17 +126,8 @@ func TestBitSetCloneIndependence(t *testing.T) {
 	if a.Get(6) {
 		t.Fatal("mutating clone affected original")
 	}
-	if !c.Equal(c.Clone()) {
-		t.Fatal("clone not Equal to itself")
-	}
-	if a.Equal(c) {
-		t.Fatal("different sets reported Equal")
-	}
-}
-
-func TestBitSetEqualDifferentSizes(t *testing.T) {
-	if NewBitSet(10).Equal(NewBitSet(20)) {
-		t.Fatal("sets of different capacity reported Equal")
+	if got := c.Clone().String(); got != "{5, 6}" {
+		t.Fatalf("clone of a clone = %s, want {5, 6}", got)
 	}
 }
 
@@ -157,19 +136,15 @@ func TestBitSetReset(t *testing.T) {
 	b.Set(10)
 	b.Set(90)
 	b.Reset()
-	if b.Any() || b.Count() != 0 {
+	if b.Count() != 0 {
 		t.Fatal("Reset left bits set")
 	}
 }
 
-func TestBitSetSliceAndString(t *testing.T) {
+func TestBitSetString(t *testing.T) {
 	b := NewBitSet(20)
 	b.Set(2)
 	b.Set(17)
-	s := b.Slice(nil)
-	if len(s) != 2 || s[0] != 2 || s[1] != 17 {
-		t.Fatalf("Slice = %v", s)
-	}
 	if got := b.String(); got != "{2, 17}" {
 		t.Fatalf("String = %q", got)
 	}
@@ -246,12 +221,7 @@ func TestBitSetAndNotCount(t *testing.T) {
 	if got := a.AndNotCount(b); got != 4 { // {0, 63, 100, 129}
 		t.Fatalf("AndNotCount = %d, want 4", got)
 	}
-	// Must agree with the materialised difference and leave a unchanged.
-	diff := a.Clone()
-	diff.AndNot(b)
-	if diff.Count() != a.AndNotCount(b) {
-		t.Fatal("AndNotCount disagrees with AndNot+Count")
-	}
+	// Must leave a unchanged.
 	if a.Count() != 6 {
 		t.Fatal("AndNotCount mutated its receiver")
 	}
@@ -287,23 +257,23 @@ func TestBitSetCloneGrow(t *testing.T) {
 }
 
 func TestBitSetRecap(t *testing.T) {
-	if b := Recap(nil, 100); b.Len() != 100 || b.Any() {
-		t.Fatalf("Recap(nil) = len %d, any %v", b.Len(), b.Any())
+	if b := Recap(nil, 100); b.Len() != 100 || b.Count() != 0 {
+		t.Fatalf("Recap(nil) = len %d, count %d", b.Len(), b.Count())
 	}
 	big := NewBitSet(1000)
 	big.Set(3)
 	big.Set(999)
 	words := &big.words[0]
 	r := Recap(big, 500)
-	if r.Len() != 500 || r.Any() {
-		t.Fatalf("Recap did not zero: len=%d any=%v", r.Len(), r.Any())
+	if r.Len() != 500 || r.Count() != 0 {
+		t.Fatalf("Recap did not zero: len=%d count=%d", r.Len(), r.Count())
 	}
 	if &r.words[0] != words {
 		t.Fatal("Recap with sufficient capacity reallocated")
 	}
 	small := NewBitSet(10)
-	if r := Recap(small, 640); r.Len() != 640 || r.Any() {
-		t.Fatalf("Recap grow = len %d, any %v", r.Len(), r.Any())
+	if r := Recap(small, 640); r.Len() != 640 || r.Count() != 0 {
+		t.Fatalf("Recap grow = len %d, count %d", r.Len(), r.Count())
 	}
 }
 

@@ -19,13 +19,6 @@ type Frontier struct {
 	dirty             int // id bound of the search that last wrote the bitsets
 }
 
-// NewFrontier returns a Frontier whose bitsets cover ids [0, n).
-func NewFrontier(n int) *Frontier {
-	f := &Frontier{}
-	f.Reset(n)
-	return f
-}
-
 // Reset prepares the scratch for a fresh search over ids [0, n): both
 // buffers are emptied and the bitsets are cleared, growing them if the
 // id space expanded. Capacity is retained, but only the previously

@@ -3,7 +3,7 @@ package ds
 import "testing"
 
 func TestFrontierSeedAdvance(t *testing.T) {
-	f := NewFrontier(128)
+	f := &Frontier{}
 	f.Reset(128)
 	f.Seed(3, 5)
 	if len(f.Cur) != 2 || f.Cur[0] != 3 || f.Cur[1] != 5 {
@@ -24,11 +24,12 @@ func TestFrontierSeedAdvance(t *testing.T) {
 }
 
 func TestFrontierResetGrows(t *testing.T) {
-	f := NewFrontier(10)
+	f := &Frontier{}
+	f.Reset(10)
 	f.Seed(1)
 	f.Push(2)
 	f.Reset(10)
-	if len(f.Cur) != 0 || len(f.Next) != 0 || f.Visited.Any() {
+	if len(f.Cur) != 0 || len(f.Next) != 0 || f.Visited.Count() != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	f.Reset(1000)
@@ -37,7 +38,7 @@ func TestFrontierResetGrows(t *testing.T) {
 	}
 	f.Visited.Set(999)
 	f.Reset(1000)
-	if f.Visited.Any() {
+	if f.Visited.Count() != 0 {
 		t.Fatal("Reset kept visited bits after growth")
 	}
 }
@@ -47,15 +48,16 @@ func TestFrontierResetGrows(t *testing.T) {
 // range exceeds the small searches in between (stale-bit hazard of the
 // prefix-only sweep).
 func TestFrontierPooledReuseNoStaleBits(t *testing.T) {
-	f := NewFrontier(0)
+	f := &Frontier{}
+	f.Reset(0)
 	f.Reset(1 << 12)
 	f.Visited.Set(1<<12 - 1) // dirty the tail of the large range
 	f.Reset(64)              // small search: only a prefix sweep
-	if f.Visited.Any() && f.Visited.NextSet(0) < 64 {
+	if f.Visited.Count() != 0 && f.Visited.NextSet(0) < 64 {
 		t.Fatal("small-range Reset left bits in its own range")
 	}
 	f.Reset(1 << 12) // back to the large range
-	if f.Visited.Any() {
+	if f.Visited.Count() != 0 {
 		t.Fatalf("stale bit survived at %d", f.Visited.NextSet(0))
 	}
 }
@@ -72,15 +74,16 @@ func TestFrontierZeroValue(t *testing.T) {
 // Reset clears the level bitmaps as it clears Visited: over the prefix
 // the last search dirtied, growing them with the id space.
 func TestFrontierResetClearsLevelBitmaps(t *testing.T) {
-	f := NewFrontier(1 << 12)
+	f := &Frontier{}
+	f.Reset(1 << 12)
 	f.CurBits.Set(1<<12 - 1)
 	f.NextBits.Set(5)
 	f.Reset(64)
-	if f.NextBits.Any() {
+	if f.NextBits.Count() != 0 {
 		t.Fatal("Reset left a NextBits bit in the dirtied prefix")
 	}
 	f.Reset(1 << 12)
-	if f.CurBits.Any() || f.NextBits.Any() {
+	if f.CurBits.Count() != 0 || f.NextBits.Count() != 0 {
 		t.Fatal("stale level-bitmap bit survived a return to the large range")
 	}
 	f.Reset(1 << 13)

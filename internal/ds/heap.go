@@ -36,12 +36,6 @@ func (h *MinHeap) Pop() (prio float64, v int) {
 	return prio, v
 }
 
-// Reset empties the heap, retaining capacity.
-func (h *MinHeap) Reset() {
-	h.prio = h.prio[:0]
-	h.val = h.val[:0]
-}
-
 func (h *MinHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2

@@ -42,19 +42,6 @@ func TestMinHeapValuesTravelWithPriorities(t *testing.T) {
 	}
 }
 
-func TestMinHeapReset(t *testing.T) {
-	h := NewMinHeap(4)
-	h.Push(1, 1)
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset did not empty heap")
-	}
-	h.Push(2, 2)
-	if p, v := h.Pop(); p != 2 || v != 2 {
-		t.Fatal("heap broken after Reset")
-	}
-}
-
 // Property: heap pops priorities in nondecreasing order for random input.
 func TestMinHeapSortsRandomInput(t *testing.T) {
 	f := func(seed int64) bool {

@@ -46,8 +46,5 @@ func (u *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Same reports whether x and y share a set.
-func (u *UnionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
-
 // Sets returns the number of disjoint sets remaining.
 func (u *UnionFind) Sets() int { return u.sets }

@@ -21,14 +21,14 @@ func TestUnionFindBasic(t *testing.T) {
 	if u.Sets() != 3 {
 		t.Fatalf("Sets = %d, want 3", u.Sets())
 	}
-	if !u.Same(0, 1) || u.Same(0, 2) {
-		t.Fatal("Same wrong")
+	if u.Find(0) != u.Find(1) || u.Find(0) == u.Find(2) {
+		t.Fatal("Find wrong")
 	}
 	u.Union(1, 3)
-	if !u.Same(0, 2) {
+	if u.Find(0) != u.Find(2) {
 		t.Fatal("transitive union failed")
 	}
-	if u.Same(0, 4) {
+	if u.Find(0) == u.Find(4) {
 		t.Fatal("singleton leaked into set")
 	}
 }
@@ -76,7 +76,7 @@ func TestUnionFindMatchesModel(t *testing.T) {
 				}
 				relabel(label[x], label[y])
 			case 1:
-				if u.Same(x, y) != (label[x] == label[y]) {
+				if (u.Find(x) == u.Find(y)) != (label[x] == label[y]) {
 					return false
 				}
 			}

@@ -30,78 +30,3 @@ func (g *IntEvolvingGraph) BlockMatrix(mode CausalMode) *matrix.Block {
 	blk.Consecutive = mode == CausalConsecutive
 	return blk
 }
-
-// TimeReverse returns the evolving graph with time running backwards and
-// every edge reversed: stamp i of the result is stamp n-1-i of g with
-// u→v becoming v→u. A forward BFS on the reversal is exactly the
-// paper's backward-in-time search (Sec. V: "by reversing the time
-// labels, e.g. by the transformation t → −t"), used to compute
-// influencer sets T⁻¹(a, t). Time labels are negated so they remain
-// increasing.
-func (g *IntEvolvingGraph) TimeReverse() *IntEvolvingGraph {
-	var b *Builder
-	if g.weighted {
-		b = NewWeightedBuilder(g.directed)
-	} else {
-		b = NewBuilder(g.directed)
-	}
-	for t := int32(0); t < int32(g.NumStamps()); t++ {
-		label := -g.times[t]
-		g.VisitEdges(t, func(u, v int32, w float64) bool {
-			b.AddWeightedEdge(v, u, label, w)
-			return true
-		})
-	}
-	rg := b.Build()
-	// Preserve the node-id space even if high-numbered nodes only
-	// appear in dropped positions (reversal drops nothing, but an
-	// empty graph must keep its dimensions consistent).
-	if rg.numNodes < g.numNodes {
-		rg = rg.withNumNodes(g.numNodes)
-	}
-	return rg
-}
-
-// withNumNodes widens the node-id space to n (n ≥ current). Used when a
-// derived graph must stay index-compatible with its source.
-func (g *IntEvolvingGraph) withNumNodes(n int) *IntEvolvingGraph {
-	if n <= g.numNodes {
-		return g
-	}
-	ng := &IntEvolvingGraph{
-		directed:  g.directed,
-		weighted:  g.weighted,
-		times:     g.times,
-		snaps:     make([]snapshot, len(g.snaps)),
-		activeAt:  make([][]int32, n),
-		numNodes:  n,
-		numActive: g.numActive,
-	}
-	copy(ng.activeAt, g.activeAt)
-	for i := range g.snaps {
-		s := g.snaps[i]
-		ns := snapshot{
-			outAdj: s.outAdj, outW: s.outW,
-			inAdj: s.inAdj, inW: s.inW,
-			edges:  s.edges,
-			active: ds.NewBitSet(n),
-		}
-		ns.outPtr = widenPtr(s.outPtr, n)
-		ns.inPtr = widenPtr(s.inPtr, n)
-		for v := s.active.NextSet(0); v >= 0; v = s.active.NextSet(v + 1) {
-			ns.active.Set(v)
-		}
-		ng.snaps[i] = ns
-	}
-	return ng
-}
-
-func widenPtr(ptr []int32, n int) []int32 {
-	out := make([]int32, n+1)
-	copy(out, ptr)
-	last := ptr[len(ptr)-1]
-	for i := len(ptr); i <= n; i++ {
-		out[i] = last
-	}
-	return out
-}

@@ -26,7 +26,6 @@ type Builder struct {
 	weighted bool
 	edges    []rawEdge
 	maxNode  int32
-	selfDrop int
 }
 
 type rawEdge struct {
@@ -48,7 +47,7 @@ func NewWeightedBuilder(directed bool) *Builder {
 
 // AddEdge records the edge u→v (u—v if undirected) at time label t with
 // weight 1. Self-loops are dropped (Def. 3: they activate nothing and can
-// appear in no temporal path); DroppedSelfLoops counts them.
+// appear in no temporal path).
 func (b *Builder) AddEdge(u, v int32, t int64) { b.AddWeightedEdge(u, v, t, 1) }
 
 // AddWeightedEdge records the edge u→v at time label t with weight w.
@@ -57,7 +56,6 @@ func (b *Builder) AddWeightedEdge(u, v int32, t int64, w float64) {
 		panic(fmt.Sprintf("egraph: negative node id (%d,%d)", u, v))
 	}
 	if u == v {
-		b.selfDrop++
 		return
 	}
 	if u > b.maxNode {
@@ -68,12 +66,6 @@ func (b *Builder) AddWeightedEdge(u, v int32, t int64, w float64) {
 	}
 	b.edges = append(b.edges, rawEdge{u: u, v: v, t: t, w: w})
 }
-
-// DroppedSelfLoops returns how many self-loop edges were discarded.
-func (b *Builder) DroppedSelfLoops() int { return b.selfDrop }
-
-// NumEdges returns the number of edges recorded so far (before dedup).
-func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // Build assembles the immutable graph. The Builder may be reused
 // afterwards (its edge list is not consumed).

@@ -71,19 +71,6 @@ func (c *CSR) InArcs(id int32) []int32 {
 	return c.InAdj[c.InPtr[id]:c.InPtr[id+1]]
 }
 
-// CausalRow returns node v's full active-stamp row and the position of
-// stamp t within it (pos = -1 if (v, t) is inactive). The forward causal
-// neighbours of (v, t) are row[pos+1:], the backward ones row[:pos].
-func (c *CSR) CausalRow(v, t int32) (row []int32, pos int) {
-	lo, hi := c.ActPtr[v], c.ActPtr[v+1]
-	row = c.ActStamps[lo:hi]
-	p := c.ActPos[int(t)*c.N+int(v)]
-	if p < 0 {
-		return row, -1
-	}
-	return row, int(p - lo)
-}
-
 // CausalArcs returns the causal-neighbour stamps of an *active*
 // temporal node id: the sub-row of its node's active stamps strictly
 // after (forward) or strictly before (backward) its own stamp, clamped

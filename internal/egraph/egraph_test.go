@@ -124,9 +124,6 @@ func TestSelfLoopsDropped(t *testing.T) {
 	b.AddEdge(0, 0, 1)
 	b.AddEdge(0, 1, 1)
 	g := b.Build()
-	if b.DroppedSelfLoops() != 1 {
-		t.Fatalf("DroppedSelfLoops = %d, want 1", b.DroppedSelfLoops())
-	}
 	if g.StaticEdgeCount() != 1 {
 		t.Fatalf("|Ẽ| = %d, want 1", g.StaticEdgeCount())
 	}

@@ -1,9 +1,5 @@
 package egraph
 
-import (
-	"repro/internal/ds"
-)
-
 // StaticGraph is a plain directed graph in CSR form. The unfolding of an
 // evolving graph (Theorem 1) produces one; its textbook BFS is the
 // reference against which the evolving-graph BFS is verified.
@@ -36,9 +32,6 @@ func NewStaticGraph(n int, arcs [][2]int32) *StaticGraph {
 // NumNodes returns the node count.
 func (g *StaticGraph) NumNodes() int { return g.n }
 
-// NumArcs returns the arc count.
-func (g *StaticGraph) NumArcs() int { return len(g.adj) }
-
 // Neighbors returns the out-neighbours of v (aliases internal storage).
 func (g *StaticGraph) Neighbors(v int32) []int32 {
 	return g.adj[g.ptr[v]:g.ptr[v+1]]
@@ -54,14 +47,12 @@ func (g *StaticGraph) BFS(root int32) []int32 {
 		dist[i] = -1
 	}
 	dist[root] = 0
-	q := ds.NewIntQueue(64)
-	q.Push(int(root))
-	for !q.Empty() {
-		u := int32(q.Pop())
+	for queue := []int32{root}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
 		for _, w := range g.Neighbors(u) {
 			if dist[w] == -1 {
 				dist[w] = dist[u] + 1
-				q.Push(int(w))
+				queue = append(queue, w)
 			}
 		}
 	}

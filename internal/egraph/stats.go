@@ -5,85 +5,6 @@ import (
 	"strings"
 )
 
-// Slice returns the evolving graph restricted to snapshots whose time
-// label lies in [from, to] (inclusive). Node ids are preserved; the
-// node-id space is kept at the original width so temporal-node indexing
-// stays compatible with the source graph.
-func (g *IntEvolvingGraph) Slice(from, to int64) *IntEvolvingGraph {
-	b := g.compatibleBuilder()
-	for t := 0; t < g.NumStamps(); t++ {
-		label := g.times[t]
-		if label < from || label > to {
-			continue
-		}
-		g.VisitEdges(int32(t), func(u, v int32, w float64) bool {
-			b.AddWeightedEdge(u, v, label, w)
-			return true
-		})
-	}
-	out := b.Build()
-	if out.numNodes < g.numNodes {
-		out = out.withNumNodes(g.numNodes)
-	}
-	return out
-}
-
-// Flatten aggregates every snapshot into a single static graph: the
-// union of all static edge sets under one stamp (label 0). For weighted
-// graphs, weights of an edge appearing at several stamps are summed.
-// This is what a time-oblivious analysis sees — the baseline the paper's
-// introduction argues against.
-func (g *IntEvolvingGraph) Flatten() *IntEvolvingGraph {
-	type key struct{ u, v int32 }
-	acc := make(map[key]float64)
-	for t := 0; t < g.NumStamps(); t++ {
-		g.VisitEdges(int32(t), func(u, v int32, w float64) bool {
-			acc[key{u, v}] += w
-			return true
-		})
-	}
-	b := g.compatibleBuilder()
-	for k, w := range acc {
-		b.AddWeightedEdge(k.u, k.v, 0, w)
-	}
-	out := b.Build()
-	if out.numNodes < g.numNodes {
-		out = out.withNumNodes(g.numNodes)
-	}
-	return out
-}
-
-// InducedSubgraph keeps only edges whose both endpoints are in keep.
-// Node ids are preserved.
-func (g *IntEvolvingGraph) InducedSubgraph(keep []int32) *IntEvolvingGraph {
-	in := make(map[int32]bool, len(keep))
-	for _, v := range keep {
-		in[v] = true
-	}
-	b := g.compatibleBuilder()
-	for t := 0; t < g.NumStamps(); t++ {
-		label := g.times[t]
-		g.VisitEdges(int32(t), func(u, v int32, w float64) bool {
-			if in[u] && in[v] {
-				b.AddWeightedEdge(u, v, label, w)
-			}
-			return true
-		})
-	}
-	out := b.Build()
-	if out.numNodes < g.numNodes {
-		out = out.withNumNodes(g.numNodes)
-	}
-	return out
-}
-
-func (g *IntEvolvingGraph) compatibleBuilder() *Builder {
-	if g.weighted {
-		return NewWeightedBuilder(g.directed)
-	}
-	return NewBuilder(g.directed)
-}
-
 // Summary bundles descriptive statistics of an evolving graph.
 type Summary struct {
 	Nodes            int

@@ -25,8 +25,8 @@ func TestUnfoldFigure1Structure(t *testing.T) {
 	}
 	// |E| = |Ẽ| + |E′| = 3 + 3 (paper's listed sets, with the corrected
 	// causal edge ((2,t1),(2,t3))).
-	if u.Graph.NumArcs() != 6 {
-		t.Fatalf("arcs = %d, want 6", u.Graph.NumArcs())
+	if len(u.Graph.adj) != 6 {
+		t.Fatalf("arcs = %d, want 6", len(u.Graph.adj))
 	}
 	arcWant := map[[2]TemporalNode]bool{
 		{{0, 0}, {1, 0}}: true, // static (1,t1)→(2,t1)
@@ -70,9 +70,9 @@ func TestUnfoldConsecutiveSmaller(t *testing.T) {
 	g := b.Build()
 	all := g.Unfold(CausalAllPairs)
 	cons := g.Unfold(CausalConsecutive)
-	if all.Graph.NumArcs() <= cons.Graph.NumArcs() {
+	if len(all.Graph.adj) <= len(cons.Graph.adj) {
 		t.Fatalf("all-pairs arcs %d should exceed consecutive %d",
-			all.Graph.NumArcs(), cons.Graph.NumArcs())
+			len(all.Graph.adj), len(cons.Graph.adj))
 	}
 	if len(all.Order) != len(cons.Order) {
 		t.Fatal("causal mode must not change the active node set")
@@ -89,7 +89,7 @@ func TestStaticGraphBFS(t *testing.T) {
 			t.Fatalf("dist = %v, want %v", dist, want)
 		}
 	}
-	if g.NumNodes() != 4 || g.NumArcs() != 2 {
+	if g.NumNodes() != 4 || len(g.adj) != 2 {
 		t.Fatal("static graph dims wrong")
 	}
 }
@@ -134,7 +134,7 @@ func TestUnfoldCountsConsistent(t *testing.T) {
 		if u.Graph.NumNodes() != g.NumActiveNodes() {
 			return false
 		}
-		return u.Graph.NumArcs() == g.EdgeCount(mode)
+		return len(u.Graph.adj) == g.EdgeCount(mode)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -110,9 +110,6 @@ func (m *Maintainer) Stats() Stats {
 	}
 }
 
-// Alpha returns the maintained Katz attenuation.
-func (m *Maintainer) Alpha() float64 { return m.cfg.KatzAlpha }
-
 // Results is one epoch's immutable maintained-analytics snapshot,
 // published alongside the graph it was computed for. The serving layer
 // reads the weak partition and Katz vectors directly and uses the
@@ -159,10 +156,6 @@ func (r *Results) ComponentOf(node, stamp int32) int32 {
 // Nodes returns the node-universe size the results were maintained
 // over (the N of the t·N+v temporal-id layout KatzScores uses).
 func (r *Results) Nodes() int { return r.n }
-
-// Stamps returns the stamp-axis length the results were maintained
-// over.
-func (r *Results) Stamps() int { return r.t }
 
 // NoOp reports whether the epoch's delta was structurally a no-op:
 // the published graph is arc-for-arc identical to its base, so every

@@ -14,7 +14,7 @@
 //   - WAL is the durability layer: length-prefixed, CRC32-checksummed
 //     binary records (the same framing discipline as the egio binary
 //     format) appended through a buffered
-//     group-commit writer with a configurable fsync policy. Replay
+//     group-commit writer with a configurable fsync policy. Replaying it
 //     recovers the event stream and stops cleanly at the first torn
 //     record, so a crash mid-append loses at most the batch being
 //     written, never the prefix.

@@ -139,7 +139,6 @@ type Recovery struct {
 // buffered; durability follows the configured SyncPolicy. Safe for
 // concurrent use.
 type WAL struct {
-	path string
 	opts WALOptions
 	f    *os.File
 
@@ -204,7 +203,6 @@ func OpenWAL(path string, opts WALOptions) (*WAL, *Recovery, error) {
 		return nil, nil, fmt.Errorf("ingest: seek WAL end: %w", err)
 	}
 	w := &WAL{
-		path:   path,
 		opts:   opts,
 		f:      f,
 		bw:     bufio.NewWriterSize(f, 1<<16),
@@ -381,9 +379,6 @@ func (w *WAL) Stats() WALStats {
 	}
 }
 
-// Path returns the file path the WAL writes to.
-func (w *WAL) Path() string { return w.path }
-
 // NextSeq returns the sequence number the next appended record will
 // carry (equivalently: the count of records the log holds, recovered
 // prefix included).
@@ -416,19 +411,14 @@ func (w *WAL) Close() error {
 	return w.closeErr
 }
 
-// Replay decodes a WAL stream. On a clean log err is nil; an
+// replay decodes a WAL stream. On a clean log err is nil; an
 // incomplete or corrupt trailing record yields the clean-prefix events,
-// the complete batch count, the byte offset where the damage starts and
-// ErrTornWAL. A log whose header is wrong (bad magic or version)
-// returns a hard error: that file is not a WAL, and truncating it would
-// destroy someone else's data. goodBytes is the length of the valid
-// prefix — OpenWAL truncates the file to it before appending.
-func Replay(r io.Reader) (events []Event, batches int, goodBytes int64, err error) {
-	events, _, batches, goodBytes, err = replay(r)
-	return events, batches, goodBytes, err
-}
-
-// replay is Replay plus the per-batch start offsets Recovery exposes.
+// their per-batch start offsets (which Recovery exposes), the complete
+// batch count, the byte offset where the damage starts and ErrTornWAL.
+// A log whose header is wrong (bad magic or version) returns a hard
+// error: that file is not a WAL, and truncating it would destroy
+// someone else's data. goodBytes is the length of the valid prefix —
+// OpenWAL truncates the file to it before appending.
 func replay(r io.Reader) (events []Event, starts []int, batches int, goodBytes int64, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [walHeaderLen]byte

@@ -69,18 +69,18 @@ func TestWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, n, good, rerr := Replay(bytes.NewReader(data))
+	events, _, n, good, rerr := replay(bytes.NewReader(data))
 	if rerr != nil {
-		t.Fatalf("Replay: %v", rerr)
+		t.Fatalf("replay: %v", rerr)
 	}
 	if n != len(batches) {
-		t.Fatalf("Replay batches = %d, want %d", n, len(batches))
+		t.Fatalf("replay batches = %d, want %d", n, len(batches))
 	}
 	if good != int64(len(data)) {
-		t.Fatalf("Replay goodBytes = %d, want %d", good, len(data))
+		t.Fatalf("replay goodBytes = %d, want %d", good, len(data))
 	}
 	if want := flatten(batches); !reflect.DeepEqual(events, want) {
-		t.Fatalf("Replay events = %+v, want %+v", events, want)
+		t.Fatalf("replay events = %+v, want %+v", events, want)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestReplayTornAtEveryOffset(t *testing.T) {
 	all := flatten(batches)
 
 	for cut := 0; cut <= len(data); cut++ {
-		events, n, good, rerr := Replay(bytes.NewReader(data[:cut]))
+		events, _, n, good, rerr := replay(bytes.NewReader(data[:cut]))
 		// wantBatches = number of records wholly inside the prefix.
 		wantBatches := 0
 		for _, b := range bounds {
@@ -158,7 +158,7 @@ func TestReplayCorruptByte(t *testing.T) {
 	for off := bounds[1]; off < bounds[2]; off++ {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x40
-		_, n, good, rerr := Replay(bytes.NewReader(mut))
+		_, _, n, good, rerr := replay(bytes.NewReader(mut))
 		if !errors.Is(rerr, ErrTornWAL) {
 			t.Fatalf("flip at %d: err = %v, want ErrTornWAL", off, rerr)
 		}
@@ -169,19 +169,19 @@ func TestReplayCorruptByte(t *testing.T) {
 }
 
 func TestReplayBadHeader(t *testing.T) {
-	if _, _, _, err := Replay(bytes.NewReader([]byte("NOPE\x01\x00"))); err == nil || errors.Is(err, ErrTornWAL) {
+	if _, _, _, _, err := replay(bytes.NewReader([]byte("NOPE\x01\x00"))); err == nil || errors.Is(err, ErrTornWAL) {
 		t.Fatalf("bad magic err = %v, want hard error", err)
 	}
-	if _, _, _, err := Replay(bytes.NewReader([]byte("EVWL\x07\x00"))); err == nil || errors.Is(err, ErrTornWAL) {
+	if _, _, _, _, err := replay(bytes.NewReader([]byte("EVWL\x07\x00"))); err == nil || errors.Is(err, ErrTornWAL) {
 		t.Fatalf("bad version err = %v, want hard error", err)
 	}
 	// A short file that is a genuine header prefix is a tear…
-	if _, _, _, err := Replay(bytes.NewReader([]byte("EVW"))); !errors.Is(err, ErrTornWAL) {
+	if _, _, _, _, err := replay(bytes.NewReader([]byte("EVW"))); !errors.Is(err, ErrTornWAL) {
 		t.Fatalf("short header err = %v, want ErrTornWAL", err)
 	}
 	// …but a short file that is NOT a header prefix is someone else's
 	// data: a hard error, never "torn" (OpenWAL would truncate it).
-	if _, _, _, err := Replay(bytes.NewReader([]byte("hi"))); err == nil || errors.Is(err, ErrTornWAL) {
+	if _, _, _, _, err := replay(bytes.NewReader([]byte("hi"))); err == nil || errors.Is(err, ErrTornWAL) {
 		t.Fatalf("short non-WAL err = %v, want hard error", err)
 	}
 }
@@ -263,7 +263,7 @@ func TestOpenWALRecoversAndTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, n, _, rerr := Replay(bytes.NewReader(data))
+	events, _, n, _, rerr := replay(bytes.NewReader(data))
 	if rerr != nil || n != 4 {
 		t.Fatalf("final replay: batches=%d err=%v, want 4 clean", n, rerr)
 	}
@@ -317,7 +317,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, n, _, rerr := Replay(bytes.NewReader(data))
+	events, _, n, _, rerr := replay(bytes.NewReader(data))
 	if rerr != nil || n != writers*perWriter || len(events) != writers*perWriter {
 		t.Fatalf("replay: batches=%d events=%d err=%v, want %d clean", n, len(events), rerr, writers*perWriter)
 	}

@@ -15,9 +15,9 @@
 // Having these executable side by side demonstrates that the three
 // distance notions genuinely disagree (see the package tests).
 //
-// The BFS-backed centralities (TemporalCloseness, GlobalEfficiency) run
-// on the graph's cached flat CSR view by default (DESIGN.md §8-9), with
-// GlobalEfficiency running its one-BFS-per-root sweep 64 roots at a time
+// The BFS-backed centralities (TemporalClosenessOpts,
+// GlobalEfficiencyOpts) run on the graph's cached flat CSR view by
+// default (DESIGN.md §8-9), with GlobalEfficiencyOpts running its one-BFS-per-root sweep 64 roots at a time
 // as the bit lanes of core.LaneSweep; Options.UseAdjacencyMaps selects
 // the adjacency-map oracle instead. Efficiency sums each root's
 // contribution per distance from its level sizes and combines them in
@@ -41,7 +41,7 @@ type Options struct {
 	// adjacency-map oracle instead of the flat CSR engine. Kept for
 	// differential testing; results are bit-identical.
 	UseAdjacencyMaps bool
-	// Workers bounds the fan-out of GlobalEfficiency's lane sweep on
+	// Workers bounds the fan-out of GlobalEfficiencyOpts's lane sweep on
 	// the CSR engine; 0 means GOMAXPROCS. The oracle engine is always
 	// sequential (matching components.Options), so engine comparisons
 	// race the parallel default against the pre-CSR implementation.
@@ -108,17 +108,12 @@ func PaperDistance(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode, mod
 	return res.Dist(to), nil
 }
 
-// TemporalCloseness returns the closeness centrality of an active
+// TemporalClosenessOpts returns the closeness centrality of an active
 // temporal node: Σ 1/d over all temporal nodes at positive distance d
 // from it (harmonic convention, so disconnected pairs contribute 0).
-func TemporalCloseness(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, mode egraph.CausalMode) (float64, error) {
-	return TemporalClosenessOpts(g, root, Options{Mode: mode})
-}
-
-// TemporalClosenessOpts is TemporalCloseness with engine control; the
-// engine choice flows into the underlying core.BFS. The harmonic sum is
-// accumulated in temporal-node id order either way, so both engines
-// return bit-identical values.
+// The engine choice flows into the underlying core.BFS. The harmonic
+// sum is accumulated in temporal-node id order either way, so both
+// engines return bit-identical values.
 func TemporalClosenessOpts(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) (float64, error) {
 	res, err := core.BFS(g, root, core.Options{Mode: opts.Mode, UseAdjacencyMaps: opts.UseAdjacencyMaps})
 	if err != nil {
@@ -150,14 +145,8 @@ type EfficiencyStats struct {
 	Diameter int
 }
 
-// GlobalEfficiency computes EfficiencyStats with one BFS per active
-// temporal node (analysis scale).
-func GlobalEfficiency(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) EfficiencyStats {
-	return GlobalEfficiencyOpts(g, Options{Mode: mode})
-}
-
-// GlobalEfficiencyOpts is GlobalEfficiency with engine and worker
-// control. The CSR engine runs the per-root searches 64 at a time as the
+// GlobalEfficiencyOpts computes EfficiencyStats with one BFS per active
+// temporal node (analysis scale). The CSR engine runs the per-root searches 64 at a time as the
 // bit lanes of core.LaneSweep, fanned across Workers goroutines; the
 // oracle runs one adjacency-map BFS per root. Both keep each root's
 // level sizes L_d, from which its contribution is summed per distance

@@ -102,7 +102,7 @@ func TestDynamicWalkDistanceUnreachable(t *testing.T) {
 
 func TestTemporalCloseness(t *testing.T) {
 	g := egraph.Figure1Graph()
-	c, err := TemporalCloseness(g, tn(0, 0), egraph.CausalAllPairs)
+	c, err := TemporalClosenessOpts(g, tn(0, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +112,21 @@ func TestTemporalCloseness(t *testing.T) {
 		t.Fatalf("closeness = %g, want %g", c, want)
 	}
 	// A sink has closeness 0.
-	c2, err := TemporalCloseness(g, tn(2, 2), egraph.CausalAllPairs)
+	c2, err := TemporalClosenessOpts(g, tn(2, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c2 != 0 {
 		t.Fatalf("sink closeness = %g, want 0", c2)
 	}
-	if _, err := TemporalCloseness(g, tn(2, 0), egraph.CausalAllPairs); err == nil {
+	if _, err := TemporalClosenessOpts(g, tn(2, 0), Options{}); err == nil {
 		t.Fatal("inactive root should error")
 	}
 }
 
 func TestGlobalEfficiencyFigure1(t *testing.T) {
 	g := egraph.Figure1Graph()
-	st := GlobalEfficiency(g, egraph.CausalAllPairs)
+	st := GlobalEfficiencyOpts(g, Options{Mode: egraph.CausalAllPairs})
 	// Reachable ordered pairs among the 6 active temporal nodes:
 	// from (1,t1): 5; (2,t1): 2 ((2,t3),(3,t3)); (1,t2): 2; (3,t2): 1;
 	// (2,t3): 1; (3,t3): 0  => 11 of 30.
@@ -148,14 +148,14 @@ func TestGlobalEfficiencyTrivial(t *testing.T) {
 	b := egraph.NewBuilder(true)
 	b.AddEdge(0, 1, 1)
 	g := b.Build()
-	st := GlobalEfficiency(g, egraph.CausalAllPairs)
+	st := GlobalEfficiencyOpts(g, Options{Mode: egraph.CausalAllPairs})
 	// Two active temporal nodes, one reachable pair of distance 1.
 	if st.ReachableFraction != 0.5 || st.Efficiency != 0.5 || st.MeanDistance != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
-// visitOrderEfficiency sums GlobalEfficiency node by node: 1/d and d
+// visitOrderEfficiency sums GlobalEfficiencyOpts node by node: 1/d and d
 // for every temporal node each root's BFS reaches, in Visit order.
 func visitOrderEfficiency(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) EfficiencyStats {
 	roots := g.ActiveTemporalNodes()
@@ -194,7 +194,7 @@ func TestGlobalEfficiencyMatchesVisitOrder(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g := gen.Random(gen.RandomConfig{Nodes: 250, Stamps: 8, Edges: 2500, Directed: true, Seed: seed})
 		for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
-			got, want := GlobalEfficiency(g, mode), visitOrderEfficiency(g, mode)
+			got, want := GlobalEfficiencyOpts(g, Options{Mode: mode}), visitOrderEfficiency(g, mode)
 			drift := math.Abs(got.Efficiency-want.Efficiency) / want.Efficiency
 			t.Logf("seed %d mode %v: efficiency %v, node-by-node %v, relative drift %.1e", seed, mode, got.Efficiency, want.Efficiency, drift)
 			if drift > 1e-12 {

@@ -30,10 +30,6 @@ func (s *Server) AttachIngest(l *ingest.Log) {
 	s.ingestObsOne.Do(s.registerIngestObs)
 }
 
-// Ingest returns the attached write path, or nil for a read-only
-// server.
-func (s *Server) Ingest() *ingest.Log { return s.ing.Load() }
-
 // wireEvent is the NDJSON wire form of one mutation:
 //
 //	{"op":"add","u":0,"v":1,"t":5}

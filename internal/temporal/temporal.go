@@ -33,9 +33,8 @@ import (
 // ForemostResult holds earliest-arrival information from a fixed root,
 // for every node of the graph (not every temporal node).
 type ForemostResult struct {
-	g    *egraph.IntEvolvingGraph
-	root egraph.TemporalNode
-	bfs  *core.Result
+	g   *egraph.IntEvolvingGraph
+	bfs *core.Result
 	// arrival[v] = earliest stamp s with (v, s) reachable, or -1.
 	arrival []int32
 }
@@ -59,15 +58,8 @@ func Foremost(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, mode egraph.
 			}
 		}
 	}
-	return &ForemostResult{g: g, root: root, bfs: res, arrival: arrival}, nil
+	return &ForemostResult{g: g, bfs: res, arrival: arrival}, nil
 }
-
-// Root returns the departure temporal node of the search.
-func (r *ForemostResult) Root() egraph.TemporalNode { return r.root }
-
-// ArrivalStamp returns the earliest stamp at which v is reachable, or -1
-// if v is unreachable from the root.
-func (r *ForemostResult) ArrivalStamp(v int32) int32 { return r.arrival[v] }
 
 // ArrivalLabel returns the user-visible time label of the earliest
 // arrival at v. ok is false when v is unreachable.
@@ -77,18 +69,6 @@ func (r *ForemostResult) ArrivalLabel(v int32) (label int64, ok bool) {
 		return 0, false
 	}
 	return r.g.TimeLabel(int(s)), true
-}
-
-// NumReachableNodes counts nodes (not temporal nodes) reachable from the
-// root, the root's own node included.
-func (r *ForemostResult) NumReachableNodes() int {
-	n := 0
-	for _, s := range r.arrival {
-		if s >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Path reconstructs a foremost path to v: a temporal path from the root
@@ -106,9 +86,7 @@ func (r *ForemostResult) Path(v int32) core.TemporalPath {
 // DepartureResult holds latest-departure information toward a fixed
 // target (the reverse-foremost problem).
 type DepartureResult struct {
-	g      *egraph.IntEvolvingGraph
-	target egraph.TemporalNode
-	bfs    *core.Result
+	g *egraph.IntEvolvingGraph
 	// departure[v] = latest stamp s with a temporal path (v, s) ⇝
 	// target, or -1.
 	departure []int32
@@ -118,7 +96,7 @@ type DepartureResult struct {
 // a temporal path from (v, s) can still reach the target. One backward
 // (time-reversed) BFS.
 func LatestDeparture(g *egraph.IntEvolvingGraph, target egraph.TemporalNode, mode egraph.CausalMode) (*DepartureResult, error) {
-	res, err := core.BFS(g, target, core.Options{Mode: mode, Direction: core.Backward, TrackParents: true})
+	res, err := core.BFS(g, target, core.Options{Mode: mode, Direction: core.Backward})
 	if err != nil {
 		return nil, fmt.Errorf("temporal: latest departure: %w", err)
 	}
@@ -135,15 +113,8 @@ func LatestDeparture(g *egraph.IntEvolvingGraph, target egraph.TemporalNode, mod
 			}
 		}
 	}
-	return &DepartureResult{g: g, target: target, bfs: res, departure: departure}, nil
+	return &DepartureResult{g: g, departure: departure}, nil
 }
-
-// Target returns the arrival temporal node of the search.
-func (r *DepartureResult) Target() egraph.TemporalNode { return r.target }
-
-// DepartureStamp returns the latest stamp from which v still reaches the
-// target, or -1 if no temporal path exists from any stamp of v.
-func (r *DepartureResult) DepartureStamp(v int32) int32 { return r.departure[v] }
 
 // DepartureLabel returns the time label of the latest viable departure
 // from v. ok is false when the target is unreachable from v.
@@ -153,23 +124,6 @@ func (r *DepartureResult) DepartureLabel(v int32) (label int64, ok bool) {
 		return 0, false
 	}
 	return r.g.TimeLabel(int(s)), true
-}
-
-// Path reconstructs a latest-departure path from v to the target.
-// Returns nil if the target is unreachable from v.
-func (r *DepartureResult) Path(v int32) core.TemporalPath {
-	s := r.departure[v]
-	if s < 0 {
-		return nil
-	}
-	// The backward BFS tree points from the target outward; walking
-	// parents from (v, s) yields the path reversed in time, i.e. the
-	// forward path read back-to-front.
-	back := pathFromParents(r.bfs, egraph.TemporalNode{Node: v, Stamp: s})
-	for i, j := 0, len(back)-1; i < j; i, j = i+1, j-1 {
-		back[i], back[j] = back[j], back[i]
-	}
-	return back
 }
 
 // FastestResult describes the minimum-elapsed-time connection between
@@ -357,82 +311,6 @@ func collapseCausalChains(p core.TemporalPath) core.TemporalPath {
 		out = append(out, p[i])
 	}
 	return out
-}
-
-// Durations computes the fastest duration from src to every node:
-// durations[v] = min over departures s of (arrival label − departure
-// label), or -1 where v is never reachable. Cost is one earliest-arrival
-// scan per active stamp of src.
-func Durations(g *egraph.IntEvolvingGraph, src int32, mode egraph.CausalMode) ([]int64, error) {
-	if src < 0 || int(src) >= g.NumNodes() {
-		return nil, fmt.Errorf("temporal: durations: node %d out of range (n=%d)", src, g.NumNodes())
-	}
-	if len(g.ActiveStamps(src)) == 0 {
-		return nil, core.ErrInactiveRoot
-	}
-	durations := make([]int64, g.NumNodes())
-	for i := range durations {
-		durations[i] = -1
-	}
-	for _, s := range g.ActiveStamps(src) {
-		root := egraph.TemporalNode{Node: src, Stamp: s}
-		res, err := core.BFS(g, root, core.Options{Mode: mode})
-		if err != nil {
-			return nil, err
-		}
-		depart := g.TimeLabel(int(s))
-		for v := int32(0); v < int32(g.NumNodes()); v++ {
-			for _, t := range g.ActiveStamps(v) {
-				if !res.Reached(egraph.TemporalNode{Node: v, Stamp: t}) {
-					continue
-				}
-				d := g.TimeLabel(int(t)) - depart
-				if durations[v] < 0 || d < durations[v] {
-					durations[v] = d
-				}
-				break // ascending stamps: later arrivals only increase d
-			}
-		}
-	}
-	return durations, nil
-}
-
-// ProfileEntry is one point of an arrival profile: departing src at
-// stamp Departure, the earliest reachable stamp of the target is
-// Arrival, Duration = label(Arrival) − label(Departure).
-type ProfileEntry struct {
-	Departure int32
-	Arrival   int32
-	Duration  int64
-}
-
-// ArrivalProfile computes the earliest arrival at dst for *every* active
-// departure stamp of src — the profile problem of the temporal-path
-// literature. Departures from which dst is unreachable are omitted, so
-// the result may be empty. Arrivals are non-decreasing in the departure
-// stamp: departing earlier can always emulate departing later via a
-// causal hop, never the reverse.
-func ArrivalProfile(g *egraph.IntEvolvingGraph, src, dst int32, mode egraph.CausalMode) ([]ProfileEntry, error) {
-	if src < 0 || int(src) >= g.NumNodes() || dst < 0 || int(dst) >= g.NumNodes() {
-		return nil, fmt.Errorf("temporal: arrival profile: node out of range (src=%d, dst=%d, n=%d)", src, dst, g.NumNodes())
-	}
-	if len(g.ActiveStamps(src)) == 0 {
-		return nil, core.ErrInactiveRoot
-	}
-	scan := newArrivalScanner(g, mode)
-	var profile []ProfileEntry
-	for _, s := range g.ActiveStamps(src) {
-		arrive, _, _ := scan.earliestArrival(egraph.TemporalNode{Node: src, Stamp: s}, dst, -1)
-		if arrive < 0 {
-			continue
-		}
-		profile = append(profile, ProfileEntry{
-			Departure: s,
-			Arrival:   arrive,
-			Duration:  g.TimeLabel(int(arrive)) - g.TimeLabel(int(s)),
-		})
-	}
-	return profile, nil
 }
 
 // Summary reports all four path-optimality criteria between two nodes in

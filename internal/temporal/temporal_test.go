@@ -37,12 +37,9 @@ func TestForemostFigure1(t *testing.T) {
 	// first becomes reachable at stamp 1 via (1,t1)→(1,t2)→(3,t2).
 	want := []int32{0, 0, 1}
 	for v, w := range want {
-		if got := fm.ArrivalStamp(int32(v)); got != w {
-			t.Errorf("ArrivalStamp(%d) = %d, want %d", v, got, w)
+		if got := fm.arrival[v]; got != w {
+			t.Errorf("arrival[%d] = %d, want %d", v, got, w)
 		}
-	}
-	if n := fm.NumReachableNodes(); n != 3 {
-		t.Errorf("NumReachableNodes = %d, want 3", n)
 	}
 	if lbl, ok := fm.ArrivalLabel(2); !ok || lbl != 2 {
 		t.Errorf("ArrivalLabel(2) = %d,%v, want 2,true", lbl, ok)
@@ -73,16 +70,9 @@ func TestLatestDepartureFigure1(t *testing.T) {
 	// departs latest at t3 itself ((2,t3)→(3,t3)); node 2 at t3.
 	want := []int32{1, 2, 2}
 	for v, w := range want {
-		if got := ld.DepartureStamp(int32(v)); got != w {
-			t.Errorf("DepartureStamp(%d) = %d, want %d", v, got, w)
+		if got := ld.departure[v]; got != w {
+			t.Errorf("departure[%d] = %d, want %d", v, got, w)
 		}
-	}
-	p := ld.Path(0)
-	if len(p) == 0 || p[0] != tn(0, 1) || p[len(p)-1] != tn(2, 2) {
-		t.Fatalf("latest-departure path from 0 = %v", p)
-	}
-	if !p.IsValid(g, egraph.CausalAllPairs) {
-		t.Fatalf("latest-departure path invalid: %v", p)
 	}
 }
 
@@ -160,8 +150,8 @@ func TestCompareUnreachable(t *testing.T) {
 	}
 }
 
-// Compare rejects an out-of-range node with an error, as its siblings
-// Fastest, Durations and ArrivalProfile do, instead of panicking.
+// Compare rejects an out-of-range node with an error, as Fastest does,
+// instead of panicking.
 func TestCompareOutOfRange(t *testing.T) {
 	g := egraph.Figure1Graph()
 	for _, c := range []struct{ src, dst int32 }{{0, 9}, {0, -1}, {9, 0}, {-1, 0}} {
@@ -272,8 +262,8 @@ func TestForemostMatchesUnfoldingOracle(t *testing.T) {
 			}
 		}
 		for v := int32(0); v < int32(g.NumNodes()); v++ {
-			if fm.ArrivalStamp(v) != oracle[v] {
-				t.Logf("seed %d: node %d arrival %d, oracle %d", seed, v, fm.ArrivalStamp(v), oracle[v])
+			if fm.arrival[v] != oracle[v] {
+				t.Logf("seed %d: node %d arrival %d, oracle %d", seed, v, fm.arrival[v], oracle[v])
 				return false
 			}
 		}
@@ -311,8 +301,8 @@ func TestLatestDepartureMatchesBruteForce(t *testing.T) {
 					want = s // ascending: keep the last hit
 				}
 			}
-			if ld.DepartureStamp(v) != want {
-				t.Logf("seed %d: node %d departure %d, brute force %d", seed, v, ld.DepartureStamp(v), want)
+			if ld.departure[v] != want {
+				t.Logf("seed %d: node %d departure %d, brute force %d", seed, v, ld.departure[v], want)
 				return false
 			}
 		}
@@ -374,34 +364,6 @@ func TestFastestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Durations must be pointwise consistent with Fastest.
-func TestDurationsMatchFastest(t *testing.T) {
-	f := func(seed int64, directed bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, directed)
-		durations, err := Durations(g, 0, egraph.CausalAllPairs)
-		if err != nil {
-			t.Logf("durations: %v", err)
-			return false
-		}
-		for v := int32(0); v < int32(g.NumNodes()); v++ {
-			fast, err := Fastest(g, 0, v, egraph.CausalAllPairs)
-			if err != nil {
-				t.Logf("fastest: %v", err)
-				return false
-			}
-			if durations[v] != fast.Duration {
-				t.Logf("seed %d: node %d durations %d ≠ fastest %d", seed, v, durations[v], fast.Duration)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The four criteria obey the standard sandwich inequalities whenever the
 // target is reachable.
 func TestCriteriaInequalities(t *testing.T) {
@@ -455,7 +417,7 @@ func TestForemostPathsValid(t *testing.T) {
 			}
 			for v := int32(0); v < int32(g.NumNodes()); v++ {
 				p := fm.Path(v)
-				if fm.ArrivalStamp(v) < 0 {
+				if fm.arrival[v] < 0 {
 					if p != nil {
 						t.Logf("seed %d: path for unreachable node %d", seed, v)
 						return false
@@ -466,8 +428,8 @@ func TestForemostPathsValid(t *testing.T) {
 					t.Logf("seed %d mode %v: invalid path %v", seed, mode, p)
 					return false
 				}
-				if last := p[len(p)-1]; last.Node != v || last.Stamp != fm.ArrivalStamp(v) {
-					t.Logf("seed %d: path ends at %v, want (%d,%d)", seed, last, v, fm.ArrivalStamp(v))
+				if last := p[len(p)-1]; last.Node != v || last.Stamp != fm.arrival[v] {
+					t.Logf("seed %d: path ends at %v, want (%d,%d)", seed, last, v, fm.arrival[v])
 					return false
 				}
 			}
@@ -519,106 +481,5 @@ func TestIntroGameSemantics(t *testing.T) {
 	}
 	if fast.Duration != -1 {
 		t.Fatalf("swapped intro game duration = %d, want unreachable", fast.Duration)
-	}
-}
-
-func TestArrivalProfileFigure1(t *testing.T) {
-	g := egraph.Figure1Graph()
-	profile, err := ArrivalProfile(g, 0, 2, egraph.CausalAllPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 0 departs at t1 or t2; both reach node 2 earliest at t2.
-	want := []ProfileEntry{
-		{Departure: 0, Arrival: 1, Duration: 1},
-		{Departure: 1, Arrival: 1, Duration: 0},
-	}
-	if len(profile) != len(want) {
-		t.Fatalf("profile = %+v, want %+v", profile, want)
-	}
-	for i := range want {
-		if profile[i] != want[i] {
-			t.Fatalf("profile[%d] = %+v, want %+v", i, profile[i], want[i])
-		}
-	}
-}
-
-func TestArrivalProfileErrors(t *testing.T) {
-	g := egraph.Figure1Graph()
-	if _, err := ArrivalProfile(g, 0, 9, egraph.CausalAllPairs); err == nil {
-		t.Error("out-of-range dst succeeded")
-	}
-	// Unreachable target: empty, no error.
-	profile, err := ArrivalProfile(g, 2, 0, egraph.CausalAllPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profile) != 0 {
-		t.Fatalf("profile to unreachable target = %+v", profile)
-	}
-}
-
-// Profile invariants on random graphs: arrivals are non-decreasing in
-// the departure stamp; every entry matches a brute-force BFS; and the
-// minimum duration over the profile equals Fastest.
-func TestArrivalProfileInvariants(t *testing.T) {
-	f := func(seed int64, directed bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, directed)
-		dst := int32(1)
-		profile, err := ArrivalProfile(g, 0, dst, egraph.CausalAllPairs)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		for i := 1; i < len(profile); i++ {
-			if profile[i].Arrival < profile[i-1].Arrival {
-				t.Logf("seed %d: arrivals decreased: %+v", seed, profile)
-				return false
-			}
-		}
-		byDeparture := make(map[int32]int32, len(profile))
-		for _, p := range profile {
-			byDeparture[p.Departure] = p.Arrival
-		}
-		minDur := int64(-1)
-		for _, s := range g.ActiveStamps(0) {
-			res, err := core.BFS(g, tn(0, s), core.Options{})
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			want := int32(-1)
-			for _, a := range g.ActiveStamps(dst) {
-				if res.Reached(tn(dst, a)) {
-					want = a
-					break
-				}
-			}
-			got, ok := byDeparture[s]
-			if (want < 0) != !ok || (ok && got != want) {
-				t.Logf("seed %d: departure %d arrival %d, brute force %d", seed, s, got, want)
-				return false
-			}
-			if want >= 0 {
-				d := g.TimeLabel(int(want)) - g.TimeLabel(int(s))
-				if minDur < 0 || d < minDur {
-					minDur = d
-				}
-			}
-		}
-		fast, err := Fastest(g, 0, dst, egraph.CausalAllPairs)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		if fast.Duration != minDur {
-			t.Logf("seed %d: fastest %d ≠ profile min %d", seed, fast.Duration, minDur)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

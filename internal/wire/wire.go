@@ -36,8 +36,8 @@
 // returns, computed through the same canonical-params layer and stored
 // under the same qcache key — the cross-transport equivalence suite in
 // internal/server asserts deep-equal bodies and a shared cache entry.
-// Error codes map 1:1 onto the HTTP error envelope (Code.HTTPStatus /
-// CodeFromStatus round-trip).
+// Error codes map 1:1 onto the HTTP error envelope's statuses
+// (CodeFromStatus).
 package wire
 
 import (
@@ -156,28 +156,7 @@ func (c Code) String() string {
 	}
 }
 
-// HTTPStatus maps the code onto the status the HTTP transport answers.
-func (c Code) HTTPStatus() int {
-	switch c {
-	case CodeOK:
-		return 200
-	case CodeBadRequest:
-		return 400
-	case CodeNotFound:
-		return 404
-	case CodeMethodNotAllowed:
-		return 405
-	case CodeBackpressure:
-		return 429
-	case CodeUnavailable:
-		return 503
-	default:
-		return 500
-	}
-}
-
-// CodeFromStatus inverts HTTPStatus for the statuses the service
-// emits; unknown statuses in the 4xx class map to CodeBadRequest and
+// CodeFromStatus maps the statuses the service emits onto codes; unknown statuses in the 4xx class map to CodeBadRequest and
 // everything else to CodeInternal.
 func CodeFromStatus(status int) Code {
 	switch status {

@@ -148,11 +148,11 @@ func TestResultAndErrorRoundTrip(t *testing.T) {
 }
 
 func TestCodeMapping(t *testing.T) {
-	codes := []Code{CodeOK, CodeBadRequest, CodeNotFound, CodeMethodNotAllowed, CodeBackpressure, CodeInternal, CodeUnavailable}
+	statuses := map[Code]int{CodeOK: 200, CodeBadRequest: 400, CodeNotFound: 404, CodeMethodNotAllowed: 405, CodeBackpressure: 429, CodeInternal: 500, CodeUnavailable: 503}
 	seen := map[string]bool{}
-	for _, c := range codes {
-		if got := CodeFromStatus(c.HTTPStatus()); got != c {
-			t.Errorf("%v: HTTPStatus=%d round-trips to %v", c, c.HTTPStatus(), got)
+	for c, status := range statuses {
+		if got := CodeFromStatus(status); got != c {
+			t.Errorf("%v: status %d maps to %v", c, status, got)
 		}
 		if s := c.String(); seen[s] {
 			t.Errorf("duplicate code name %q", s)

@@ -38,11 +38,6 @@ func Fastest(g *Graph, src, dst int32, mode CausalMode) (FastestResult, error) {
 	return temporal.Fastest(g, src, dst, mode)
 }
 
-// FastestDurations computes the fastest duration from src to every node.
-func FastestDurations(g *Graph, src int32, mode CausalMode) ([]int64, error) {
-	return temporal.Durations(g, src, mode)
-}
-
 // ComparePathCriteria evaluates shortest / foremost / latest-departure /
 // fastest between two nodes in one call.
 func ComparePathCriteria(g *Graph, src, dst int32, mode CausalMode) (PathSummary, error) {
@@ -64,13 +59,4 @@ func GreedyInfluence(g *Graph, k int, opts InfluenceOptions) ([]InfluenceSeed, e
 // InfluenceSpread returns the exact joint coverage of a seed set.
 func InfluenceSpread(g *Graph, seeds []int32, opts InfluenceOptions) (int, error) {
 	return influence.Spread(g, seeds, opts)
-}
-
-// ProfileEntry is one (departure stamp → earliest arrival) point.
-type ProfileEntry = temporal.ProfileEntry
-
-// ArrivalProfile computes the earliest arrival at dst for every active
-// departure stamp of src (the temporal profile problem).
-func ArrivalProfile(g *Graph, src, dst int32, mode CausalMode) ([]ProfileEntry, error) {
-	return temporal.ArrivalProfile(g, src, dst, mode)
 }
