@@ -178,7 +178,6 @@ func remoteError(status int, header http.Header, body []byte) error {
 		return re
 	}
 	re.Message = env.Error
-	re.Detail = env.Detail
 	re.Revision = env.Revision
 	return re
 }

@@ -230,11 +230,11 @@ func (t *wireTransport) roundTrip(ctx context.Context, typ uint8, payload []byte
 }
 
 func decodeRemoteError(payload []byte) error {
-	code, rev, msg, detail, err := wire.DecodeError(payload)
+	code, rev, msg, err := wire.DecodeError(payload)
 	if err != nil {
 		return fmt.Errorf("egclient: undecodable error frame: %w", err)
 	}
-	return &RemoteError{Code: code, Message: msg, Detail: detail, Revision: rev}
+	return &RemoteError{Code: code, Message: msg, Revision: rev}
 }
 
 func (t *wireTransport) query(ctx context.Context, endpoint string, params url.Values, into interface{}) (Meta, error) {

@@ -156,7 +156,7 @@ func TestWireBudgetParam(t *testing.T) {
 	if f.Type != wire.RError {
 		t.Fatalf("frame type = %d, want RError (budget 5ms < p99 50ms)", f.Type)
 	}
-	code, _, _, _, err := wire.DecodeError(f.Payload)
+	code, _, _, err := wire.DecodeError(f.Payload)
 	if err != nil || code != wire.CodeUnavailable {
 		t.Fatalf("error frame code = %v (%v), want unavailable", code, err)
 	}

@@ -87,12 +87,12 @@ type IngestAcceptedResponse struct {
 func (s *Server) ingestArcs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST an NDJSON event batch")
+		s.writeError(w, http.StatusMethodNotAllowed, s.Revision(), "POST an NDJSON event batch")
 		return
 	}
 	lg := s.ing.Load()
 	if lg == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "ingest disabled: server started without a write path")
+		s.writeError(w, http.StatusServiceUnavailable, s.Revision(), "ingest disabled: server started without a write path")
 		return
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
@@ -103,28 +103,28 @@ func (s *Server) ingestArcs(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, io.EOF) {
 				break
 			}
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("event %d: bad JSON: %v", len(events), err))
+			s.writeError(w, http.StatusBadRequest, s.Revision(), fmt.Sprintf("event %d: bad JSON: %v", len(events), err))
 			return
 		}
 		ev, err := we.event(len(events))
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err.Error())
+			s.writeError(w, http.StatusBadRequest, s.Revision(), err.Error())
 			return
 		}
 		events = append(events, ev)
 		if len(events) > maxIngestEvents {
-			s.writeError(w, http.StatusBadRequest,
+			s.writeError(w, http.StatusBadRequest, s.Revision(),
 				fmt.Sprintf("batch exceeds %d events; split it", maxIngestEvents))
 			return
 		}
 	}
 	if len(events) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty batch: POST NDJSON events like {\"op\":\"add\",\"u\":0,\"v\":1,\"t\":5}")
+		s.writeError(w, http.StatusBadRequest, s.Revision(), "empty batch: POST NDJSON events like {\"op\":\"add\",\"u\":0,\"v\":1,\"t\":5}")
 		return
 	}
 	resp, status, msg := s.acceptBatch(events)
 	if status != http.StatusAccepted {
-		s.writeError(w, status, msg) // 429/503 carry Retry-After via the envelope writer
+		s.writeError(w, status, s.Revision(), msg) // 429/503 carry Retry-After via the envelope writer
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, resp)
@@ -187,12 +187,12 @@ type CheckpointResponse struct {
 func (s *Server) ingestCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST to force a checkpoint")
+		s.writeError(w, http.StatusMethodNotAllowed, s.Revision(), "POST to force a checkpoint")
 		return
 	}
 	lg := s.ing.Load()
 	if lg == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "ingest disabled: server started without a write path")
+		s.writeError(w, http.StatusServiceUnavailable, s.Revision(), "ingest disabled: server started without a write path")
 		return
 	}
 	n, err := lg.CheckpointNow()
@@ -200,7 +200,7 @@ func (s *Server) ingestCheckpoint(w http.ResponseWriter, r *http.Request) {
 		// Unconfigured path or a failed write — either way the caller
 		// can retry once the condition clears, and the WAL stays the
 		// source of truth.
-		s.writeError(w, http.StatusServiceUnavailable, err.Error())
+		s.writeError(w, http.StatusServiceUnavailable, s.Revision(), err.Error())
 		return
 	}
 	s.writeJSON(w, http.StatusOK, CheckpointResponse{

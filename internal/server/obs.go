@@ -190,7 +190,7 @@ func (s *Server) metricsProm(w http.ResponseWriter, r *http.Request) {
 func (s *Server) debugTraces(w http.ResponseWriter, r *http.Request) {
 	out, err := s.tracer.Dump()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.writeError(w, http.StatusInternalServerError, s.Revision(), err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -59,7 +59,7 @@ func (s *Server) params(r *http.Request) *params {
 // if it did not.
 func (s *Server) okParams(w http.ResponseWriter, p *params) bool {
 	if p.err != nil {
-		s.writeError(w, http.StatusBadRequest, p.err.Error())
+		s.writeError(w, http.StatusBadRequest, p.rev, p.err.Error())
 		return false
 	}
 	return true

@@ -29,7 +29,8 @@ type transportAnswer struct {
 }
 
 // askHTTP asks one cached query through ServeHTTP; budget, when not
-// empty, is the X-Budget-Ms header.
+// empty, is the X-Budget-Ms header. A failure's X-Graph-Revision header
+// must name the envelope's revision.
 func askHTTP(t *testing.T, s *Server, endpoint string, q url.Values, budget string) transportAnswer {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, "/"+endpoint+"?"+q.Encode(), nil)
@@ -39,6 +40,10 @@ func askHTTP(t *testing.T, s *Server, endpoint string, q url.Values, budget stri
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	a := transportAnswer{code: wire.CodeFromStatus(rec.Code).String(), outcome: rec.Header().Get("X-Cache")}
+	rev, err := strconv.ParseUint(rec.Header().Get("X-Graph-Revision"), 10, 64)
+	if err != nil {
+		t.Fatalf("HTTP %s: X-Graph-Revision: %v", endpoint, err)
+	}
 	if rec.Code != http.StatusOK {
 		var env ErrorResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
@@ -47,16 +52,15 @@ func askHTTP(t *testing.T, s *Server, endpoint string, q url.Values, budget stri
 		if env.Code != a.code {
 			t.Fatalf("HTTP %s: status %d but envelope code %q", endpoint, rec.Code, env.Code)
 		}
-		a.rev, a.body = env.Revision, env.Error
+		if env.Revision != rev {
+			t.Fatalf("HTTP %s: X-Graph-Revision %d but envelope revision %d", endpoint, rev, env.Revision)
+		}
+		a.rev, a.body = rev, env.Error
 		return a
 	}
 	body, ok := bytes.CutSuffix(rec.Body.Bytes(), []byte("\n"))
 	if !ok {
 		t.Fatalf("HTTP %s: body %q does not end in a newline", endpoint, rec.Body)
-	}
-	rev, err := strconv.ParseUint(rec.Header().Get("X-Graph-Revision"), 10, 64)
-	if err != nil {
-		t.Fatalf("HTTP %s: X-Graph-Revision: %v", endpoint, err)
 	}
 	a.rev, a.body = rev, string(body)
 	return a
@@ -84,7 +88,7 @@ func askWire(t *testing.T, s *Server, endpoint string, q url.Values, budget stri
 		}
 		return transportAnswer{code: wire.CodeOK.String(), rev: rev, outcome: wire.CacheName(f.Flags), body: string(body)}
 	case wire.RError:
-		code, rev, msg, _, err := wire.DecodeError(f.Payload)
+		code, rev, msg, err := wire.DecodeError(f.Payload)
 		if err != nil {
 			t.Fatalf("EGWP %s: %v", endpoint, err)
 		}
@@ -96,11 +100,13 @@ func askWire(t *testing.T, s *Server, endpoint string, q url.Values, budget stri
 }
 
 // TestTransportParity asks the same cached queries over HTTP and EGWP
-// and asserts the two answers agree on code, revision, cache outcome
-// and body bytes: one pipeline, two framings. A failure's body is its
-// message, from the HTTP error envelope and the RError frame. The two
-// asks must also land in the same serve-latency series but for the
-// transport label.
+// and asserts the two answers agree on code, cache outcome and body
+// bytes: one pipeline, two framings. A failure's body is its message,
+// from the HTTP error envelope and the RError frame. Each answer
+// carries the revision the server was at when it was asked, even when
+// the graph is replaced while the answer computes. The two asks must
+// also land in the same serve-latency series but for the transport
+// label.
 func TestTransportParity(t *testing.T) {
 	quiet := func(string, ...interface{}) {}
 	// warm computes katz?top=3 once, then moves the revision on, so
@@ -119,6 +125,7 @@ func TestTransportParity(t *testing.T) {
 		name     string
 		cfg      Config
 		setup    func(t *testing.T, s *Server) string // returns the stored body a stale answer must repeat
+		swap     bool                                 // replace the graph while the compute fault sleeps
 		endpoint string
 		params   url.Values
 		budget   string
@@ -152,6 +159,13 @@ func TestTransportParity(t *testing.T) {
 			endpoint: "katz", params: url.Values{"top": {"3"}},
 			code: wire.CodeOK, outcome: "stale",
 		},
+		{
+			name:     "compute-fault-across-swap",
+			cfg:      Config{Faults: fault.Must("seed 1\nquery.compute delay=200ms error=io")},
+			swap:     true,
+			endpoint: "katz", params: url.Values{"top": {"3"}},
+			code: wire.CodeUnavailable,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,9 +176,37 @@ func TestTransportParity(t *testing.T) {
 			if tc.setup != nil {
 				stored = tc.setup(t, s)
 			}
+			// ask asks over one transport and checks the answer's
+			// revision is the one the server was at when asked.
+			ask := func(transport string, askOn func(*testing.T, *Server, string, url.Values, string) transportAnswer) transportAnswer {
+				want := s.Revision()
+				swapped := make(chan struct{})
+				if tc.swap {
+					fired := cfg.Faults.Count(fault.QueryCompute)
+					go func() {
+						defer close(swapped)
+						for deadline := time.Now().Add(10 * time.Second); cfg.Faults.Count(fault.QueryCompute) == fired && time.Now().Before(deadline); {
+							time.Sleep(time.Millisecond)
+						}
+						s.ReplaceGraph(egraph.Figure1Graph())
+					}()
+				} else {
+					close(swapped)
+				}
+				a := askOn(t, s, tc.endpoint, tc.params, tc.budget)
+				<-swapped
+				if tc.swap && s.Revision() == want {
+					t.Fatalf("%s: the graph was not replaced", transport)
+				}
+				if a.rev != want {
+					t.Fatalf("%s: answer revision %d, want %d, the revision it was asked at", transport, a.rev, want)
+				}
+				a.rev = 0 // a swap moves the revision between the two asks
+				return a
+			}
 			before := s.Registry().HistogramSnapshots("eg_serve_latency_seconds")
-			h := askHTTP(t, s, tc.endpoint, tc.params, tc.budget)
-			w := askWire(t, s, tc.endpoint, tc.params, tc.budget)
+			h := ask("http", askHTTP)
+			w := ask("wire", askWire)
 			if h != w {
 				t.Fatalf("answers diverge across transports:\nhttp %+v\nwire %+v", h, w)
 			}

@@ -82,7 +82,7 @@ func (s *Server) bfs(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := core.BFS(p.g, root, opts)
 	if err != nil {
-		s.writeError(w, errStatus(err), err.Error())
+		s.writeError(w, errStatus(err), p.rev, err.Error())
 		return
 	}
 	s.writeBody(w, http.StatusOK, encodeBFS(p.g, root, res))
@@ -158,11 +158,11 @@ func (s *Server) path(w http.ResponseWriter, r *http.Request) {
 	}
 	path, err := core.ShortestPath(p.g, from, to, mode)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.writeError(w, http.StatusBadRequest, p.rev, err.Error())
 		return
 	}
 	if path == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("%v is not reachable from %v", to, from))
+		s.writeError(w, http.StatusNotFound, p.rev, fmt.Sprintf("%v is not reachable from %v", to, from))
 		return
 	}
 	resp := PathResponse{From: tnJSON(p.g, from), To: tnJSON(p.g, to), Hops: path.Hops()}
@@ -189,7 +189,7 @@ func (s *Server) reach(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := core.BFS(p.g, root, core.Options{Mode: mode})
 	if err != nil {
-		s.writeError(w, errStatus(err), err.Error())
+		s.writeError(w, errStatus(err), p.rev, err.Error())
 		return
 	}
 	s.writeJSON(w, http.StatusOK, ReachResponse{
@@ -241,7 +241,7 @@ func (s *Server) criteria(w http.ResponseWriter, r *http.Request) {
 	}
 	sum, err := temporal.Compare(p.g, src, dst, mode)
 	if err != nil {
-		s.writeError(w, errStatus(err), err.Error())
+		s.writeError(w, errStatus(err), p.rev, err.Error())
 		return
 	}
 	s.writeJSON(w, http.StatusOK, CriteriaResponse{

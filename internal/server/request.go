@@ -180,7 +180,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		h := w.Header()
 		h["X-Graph-Revision"] = []string{strconv.FormatUint(q.rev, 10)}
 		if q.status != http.StatusOK {
-			s.writeError(w, q.status, q.msg)
+			s.writeError(w, q.status, q.rev, q.msg)
 			return
 		}
 		h["X-Cache"] = cacheHeader[q.outcome]

@@ -34,7 +34,7 @@
 //
 // mode is "allpairs" (default) or "consecutive"; direction is "forward"
 // (default) or "backward". Every failure answers the versioned error
-// envelope {"code","error","detail","revision"} (ErrorResponse) with
+// envelope {"code","error","revision"} (ErrorResponse) with
 // status 400 (bad request), 404 (unknown endpoint, inactive or
 // unreachable node), 429 (ingest backpressure), 500 (internal) or 503
 // (unavailable: degraded write path, exhausted budget, injected
@@ -673,18 +673,21 @@ func (s *Server) logEncodeErr(err error) {
 
 // ErrorResponse is the versioned error envelope every endpoint answers
 // with: a transport-neutral code (wire.Code's JSON spelling — the
-// binary transport carries the same enum as a byte), the message, an
-// optional detail, and the revision the server was at. The "error" key
-// is the envelope's message field, so pre-envelope clients that only
-// read .error keep working.
+// binary transport carries the same enum as a byte), the message, and
+// the revision the answer belongs to. The "error" key is the envelope's
+// message field, so pre-envelope clients that only read .error keep
+// working.
 type ErrorResponse struct {
 	Code     string `json:"code"`
 	Error    string `json:"error"`
-	Detail   string `json:"detail,omitempty"`
 	Revision uint64 `json:"revision"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
+// writeError answers with the error envelope. rev is the revision of
+// the snapshot the request was answered against — for a query, the one
+// its X-Graph-Revision names — or the current one for requests that
+// read no snapshot.
+func (s *Server) writeError(w http.ResponseWriter, status int, rev uint64, msg string) {
 	// Every retriable failure carries the same retry hint: 429
 	// (backpressure) and 503 (degraded write path, budget rejection,
 	// bootstrap) all mean "same request, later". egclient treats the
@@ -695,6 +698,6 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	s.writeJSON(w, status, ErrorResponse{
 		Code:     wire.CodeFromStatus(status).String(),
 		Error:    msg,
-		Revision: s.Revision(),
+		Revision: rev,
 	})
 }

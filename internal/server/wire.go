@@ -146,7 +146,7 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		case wire.TQuery:
 			endpoint, q, err := wire.DecodeQuery(frame.Payload)
 			if err != nil {
-				c.sendError(frame.ID, http.StatusBadRequest, err.Error())
+				c.sendError(frame.ID, http.StatusBadRequest, s.Revision(), err.Error())
 				continue
 			}
 			s.wireQueries.Add(1)
@@ -156,13 +156,13 @@ func (s *Server) serveWireConn(conn net.Conn) {
 			// connection must reach the WAL in the order they were sent.
 			events, err := wire.DecodeIngest(frame.Payload)
 			if err != nil {
-				c.sendError(frame.ID, http.StatusBadRequest, err.Error())
+				c.sendError(frame.ID, http.StatusBadRequest, s.Revision(), err.Error())
 				continue
 			}
 			s.wireIngest.Add(1)
 			resp, status, msg := s.acceptBatch(events)
 			if status != http.StatusAccepted {
-				c.sendError(frame.ID, status, msg)
+				c.sendError(frame.ID, status, s.Revision(), msg)
 				continue
 			}
 			body, _ := json.Marshal(resp)
@@ -170,7 +170,7 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		case wire.TSubscribe:
 			spec, err := wire.DecodeSubscribe(frame.Payload)
 			if err != nil {
-				c.sendError(frame.ID, http.StatusBadRequest, err.Error())
+				c.sendError(frame.ID, http.StatusBadRequest, s.Revision(), err.Error())
 				continue
 			}
 			sub, err := s.hub.Subscribe(spec)
@@ -179,14 +179,14 @@ func (s *Server) serveWireConn(conn net.Conn) {
 				if errors.Is(err, feed.ErrHubClosed) {
 					status = http.StatusServiceUnavailable
 				}
-				c.sendError(frame.ID, status, err.Error())
+				c.sendError(frame.ID, status, s.Revision(), err.Error())
 				continue
 			}
 			c.sendResult(wire.RSubscribed, 0, frame.ID, s.Revision(), nil)
 			c.wg.Add(1)
 			go c.pump(frame.ID, sub)
 		default:
-			c.sendError(frame.ID, http.StatusBadRequest, "unknown frame type")
+			c.sendError(frame.ID, http.StatusBadRequest, s.Revision(), "unknown frame type")
 		}
 	}
 	cancel()
@@ -243,11 +243,11 @@ func (c *wireConn) writeLocked() bool {
 }
 
 // sendError sends one failure as an RError frame carrying the same
-// code the HTTP envelope would: both transports map status 1:1 through
-// wire.CodeFromStatus.
-func (c *wireConn) sendError(id uint32, status int, msg string) {
-	c.send(wire.RError, 0, id,
-		wire.AppendError(nil, wire.CodeFromStatus(status), c.s.Revision(), msg, ""))
+// code and revision the HTTP envelope would: both transports map status
+// 1:1 through wire.CodeFromStatus, and rev is the revision the answer
+// belongs to.
+func (c *wireConn) sendError(id uint32, status int, rev uint64, msg string) {
+	c.send(wire.RError, 0, id, wire.AppendError(nil, wire.CodeFromStatus(status), rev, msg))
 }
 
 // pump streams one subscription's events until it or the connection
@@ -314,7 +314,7 @@ func (c *wireConn) query(id uint32, endpoint string, values url.Values, forced b
 func (c *wireConn) reply(id uint32, rq request, q *cachedQuery) {
 	q.reply(func() {
 		if q.status != http.StatusOK {
-			c.sendError(id, q.status, q.msg)
+			c.sendError(id, q.status, q.rev, q.msg)
 			return
 		}
 		c.sendResult(wire.RResult, cacheFlag[q.outcome], id, q.rev, q.body[:len(q.body)-1])

@@ -34,7 +34,7 @@ func FuzzWireFrame(f *testing.F) {
 	})))
 	f.Add(seed(TSubscribe, 0, 4, AppendSubscribe(nil, feed.Spec{Kind: feed.KindComponents, Node: 7, Stamp: 1, Cursor: 12})))
 	f.Add(seed(RResult, CacheHit, 2, AppendResult(nil, 42, []byte(`{"count":1}`))))
-	f.Add(seed(RError, 0, 2, AppendError(nil, CodeBackpressure, 9, "pending delta full", "retry the batch")))
+	f.Add(seed(RError, 0, 2, AppendError(nil, CodeBackpressure, 9, "pending delta full")))
 	f.Add(seed(REvent, 0, 4, AppendEvent(nil, feed.Event{Kind: feed.KindKatz, Revision: 7, Node: 9, Score: 3.5, Delta: 0.25})))
 	f.Add(seed(REvent, 0, 4, AppendEvent(nil, feed.Event{Kind: feed.KindGap, Revision: 64, FromRevision: 2})))
 
@@ -101,12 +101,12 @@ func fuzzPayload(t *testing.T, frame Frame) {
 			t.Fatalf("result round-trip diverged: %v", err)
 		}
 	case RError:
-		code, rev, msg, detail, err := DecodeError(frame.Payload)
+		code, rev, msg, err := DecodeError(frame.Payload)
 		if err != nil {
 			return
 		}
-		c2, r2, m2, d2, err := DecodeError(AppendError(nil, code, rev, msg, detail))
-		if err != nil || c2 != code || r2 != rev || m2 != msg || d2 != detail {
+		c2, r2, m2, err := DecodeError(AppendError(nil, code, rev, msg))
+		if err != nil || c2 != code || r2 != rev || m2 != msg {
 			t.Fatalf("error round-trip diverged: %v", err)
 		}
 	case REvent:

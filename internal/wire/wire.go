@@ -27,7 +27,7 @@
 // Server frame types:
 //
 //	RResult      flags = cache outcome | uvarint revision | JSON body
-//	RError       code u8 | uvarint revision | error string | detail string
+//	RError       code u8 | uvarint revision | error string
 //	RSubscribed  uvarint current revision
 //	REvent       feed event (EncodeEvent)
 //	RPong        empty
@@ -58,7 +58,8 @@ const (
 	Magic = "EGWP"
 	// Version is the protocol version this package speaks. A peer
 	// advertising a different version is rejected at hello time.
-	Version = 1
+	// Version 2 dropped RError's detail string.
+	Version = 2
 	// helloLen is the byte length of the hello record.
 	helloLen = 8
 	// headerLen is the byte length of a frame header.
@@ -391,38 +392,32 @@ func DecodeResult(b []byte) (revision uint64, body []byte, err error) {
 }
 
 // AppendError encodes an RError payload.
-func AppendError(buf []byte, code Code, revision uint64, msg, detail string) []byte {
+func AppendError(buf []byte, code Code, revision uint64, msg string) []byte {
 	buf = append(buf, byte(code))
 	buf = binary.AppendUvarint(buf, revision)
-	buf = appendString(buf, msg)
-	return appendString(buf, detail)
+	return appendString(buf, msg)
 }
 
 // DecodeError decodes an RError payload.
-func DecodeError(b []byte) (code Code, revision uint64, msg, detail string, err error) {
+func DecodeError(b []byte) (code Code, revision uint64, msg string, err error) {
 	if len(b) < 1 {
-		return 0, 0, "", "", ErrTruncated
+		return 0, 0, "", ErrTruncated
 	}
 	code, b = Code(b[0]), b[1:]
 	if revision, b, err = takeUvarint(b); err != nil {
-		return 0, 0, "", "", err
+		return 0, 0, "", err
 	}
-	if msg, b, err = takeString(b); err != nil {
-		return 0, 0, "", "", err
+	if msg, _, err = takeString(b); err != nil {
+		return 0, 0, "", err
 	}
-	if detail, _, err = takeString(b); err != nil {
-		return 0, 0, "", "", err
-	}
-	return code, revision, msg, detail, nil
+	return code, revision, msg, nil
 }
 
 // RemoteError is an RError decoded client-side: the server-assigned
-// code plus the same message/detail/revision the HTTP envelope
-// carries.
+// code plus the same message and revision the HTTP envelope carries.
 type RemoteError struct {
 	Code     Code
 	Message  string
-	Detail   string
 	Revision uint64
 	// RetryAfter is the server's Retry-After hint on retriable
 	// failures (429/503 over HTTP; zero when the transport carries
@@ -431,8 +426,5 @@ type RemoteError struct {
 }
 
 func (e *RemoteError) Error() string {
-	if e.Detail != "" {
-		return fmt.Sprintf("%s: %s (%s)", e.Code, e.Message, e.Detail)
-	}
 	return fmt.Sprintf("%s: %s", e.Code, e.Message)
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/url"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/feed"
@@ -135,14 +134,14 @@ func TestResultAndErrorRoundTrip(t *testing.T) {
 		t.Fatalf("result round-trip: rev=%d body=%q err=%v", rev, got, err)
 	}
 
-	code, rev, msg, detail, err := DecodeError(AppendError(nil, CodeBackpressure, 9, "pending delta full", "retry"))
+	code, rev, msg, err := DecodeError(AppendError(nil, CodeBackpressure, 9, "pending delta full"))
 	if err != nil {
 		t.Fatalf("DecodeError: %v", err)
 	}
-	if code != CodeBackpressure || rev != 9 || msg != "pending delta full" || detail != "retry" {
-		t.Fatalf("error round-trip mismatch: %v %d %q %q", code, rev, msg, detail)
+	if code != CodeBackpressure || rev != 9 || msg != "pending delta full" {
+		t.Fatalf("error round-trip mismatch: %v %d %q", code, rev, msg)
 	}
-	if _, _, _, _, err := DecodeError(nil); !errors.Is(err, ErrTruncated) {
+	if _, _, _, err := DecodeError(nil); !errors.Is(err, ErrTruncated) {
 		t.Errorf("empty error payload: got %v, want ErrTruncated", err)
 	}
 }
@@ -172,8 +171,8 @@ func TestCodeMapping(t *testing.T) {
 }
 
 func TestRemoteError(t *testing.T) {
-	e := &RemoteError{Code: CodeNotFound, Message: "no such node", Detail: "node=9", Revision: 3}
-	if got := e.Error(); !strings.Contains(got, "not_found") || !strings.Contains(got, "node=9") {
+	e := &RemoteError{Code: CodeNotFound, Message: "no such node", Revision: 3}
+	if got := e.Error(); got != "not_found: no such node" {
 		t.Fatalf("Error() = %q", got)
 	}
 }
