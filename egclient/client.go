@@ -78,7 +78,8 @@ const (
 
 // Meta travels with every query response: which snapshot revision the
 // answer was computed on and how the shared cache answered ("miss",
-// "hit", "collapsed").
+// "hit", "collapsed", "carried" — kept across a revision swap — or
+// "stale", an older revision's answer served while a compute failed).
 type Meta struct {
 	Revision uint64
 	Cache    string

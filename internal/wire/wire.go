@@ -58,7 +58,6 @@ const (
 	Magic = "EGWP"
 	// Version is the protocol version this package speaks. A peer
 	// advertising a different version is rejected at hello time.
-	// Version 2 dropped RError's detail string.
 	Version = 2
 	// helloLen is the byte length of the hello record.
 	helloLen = 8
