@@ -82,10 +82,8 @@ var ErrInactiveRoot = errors.New("core: BFS root is not an active temporal node"
 // Algorithm 1, stored densely by temporal-node id, plus optional parents.
 type Result struct {
 	g       *egraph.IntEvolvingGraph
-	root    egraph.TemporalNode
-	opts    Options
-	dist    []int32 // -1 = unreached, else distance from root
-	parent  []int32 // temporal-node id of BFS-tree parent, -1 at root/unreached
+	dist    []int32 // 0 = unreached, else 1 + distance from the nearest root
+	parent  []int32 // temporal-node id of BFS-tree parent; meaningful only where dist > 1
 	reached int     // number of reached temporal nodes (including root)
 	levels  []int   // levels[k] = number of nodes at distance k
 
@@ -95,13 +93,13 @@ type Result struct {
 
 // Reached reports whether (v, t) was reached (Def. 7 reachability).
 func (r *Result) Reached(tn egraph.TemporalNode) bool {
-	return r.dist[r.g.TemporalNodeID(tn)] >= 0
+	return r.dist[r.g.TemporalNodeID(tn)] != 0
 }
 
 // Dist returns the distance (Def. 6) from the root to (v, t), or -1 if
 // it is unreachable.
 func (r *Result) Dist(tn egraph.TemporalNode) int {
-	return int(r.dist[r.g.TemporalNodeID(tn)])
+	return int(r.dist[r.g.TemporalNodeID(tn)]) - 1
 }
 
 // NumReached returns the number of reached temporal nodes, root included.
@@ -118,14 +116,11 @@ func (r *Result) LevelSizes() []int { return append([]int(nil), r.levels...) }
 // Parent returns the BFS-tree parent of (v, t). ok is false at the root,
 // at unreached nodes, or when the search did not track parents.
 func (r *Result) Parent(tn egraph.TemporalNode) (parent egraph.TemporalNode, ok bool) {
-	if r.parent == nil {
+	id := r.g.TemporalNodeID(tn)
+	if r.parent == nil || r.dist[id] <= 1 { // unreached, or a root
 		return egraph.TemporalNode{}, false
 	}
-	p := r.parent[r.g.TemporalNodeID(tn)]
-	if p < 0 {
-		return egraph.TemporalNode{}, false
-	}
-	return r.g.TemporalNodeFromID(int(p)), true
+	return r.g.TemporalNodeFromID(int(r.parent[id])), true
 }
 
 // Visit calls fn for every reached temporal node with its distance, in
@@ -139,7 +134,7 @@ func (r *Result) Visit(fn func(tn egraph.TemporalNode, dist int) bool) {
 	n := r.g.NumNodes()
 	for t := 0; t < r.g.NumStamps(); t++ {
 		for v, d := range r.dist[t*n : (t+1)*n] {
-			if d >= 0 && !fn(egraph.TemporalNode{Node: int32(v), Stamp: int32(t)}, int(d)) {
+			if d != 0 && !fn(egraph.TemporalNode{Node: int32(v), Stamp: int32(t)}, int(d)-1) {
 				return
 			}
 		}
@@ -153,7 +148,7 @@ func (r *Result) DistinctNodes() int {
 	seen := ds.NewBitSet(n)
 	for t := 0; t < r.g.NumStamps(); t++ {
 		for v, d := range r.dist[t*n : (t+1)*n] {
-			if d >= 0 {
+			if d != 0 {
 				seen.Set(v)
 			}
 		}
@@ -162,8 +157,9 @@ func (r *Result) DistinctNodes() int {
 }
 
 // PathTo reconstructs a shortest temporal path from the root to (v, t)
-// as a sequence of temporal nodes (root first). It returns nil if the
-// target is unreached or parents were not tracked.
+// as a sequence of temporal nodes (root first; for a multi-source
+// search, the root it was reached from). It returns nil if the target is
+// unreached or parents were not tracked.
 func (r *Result) PathTo(tn egraph.TemporalNode) []egraph.TemporalNode {
 	if r.parent == nil || !r.Reached(tn) {
 		return nil
@@ -172,11 +168,11 @@ func (r *Result) PathTo(tn egraph.TemporalNode) []egraph.TemporalNode {
 	cur := tn
 	for {
 		rev = append(rev, cur)
-		if cur == r.root {
+		id := r.g.TemporalNodeID(cur)
+		if r.dist[id] == 1 { // a root
 			break
 		}
-		p := r.parent[r.g.TemporalNodeID(cur)]
-		cur = r.g.TemporalNodeFromID(int(p))
+		cur = r.g.TemporalNodeFromID(int(r.parent[id]))
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -208,14 +204,14 @@ func search(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Option
 			return nil, err
 		}
 	}
-	r := newResult(g, roots[0], opts)
+	r := newResult(g, opts.TrackParents)
 	seeds := make([]int32, 0, 1) // constant capacity: a single root stays off the heap
 	for _, root := range roots {
 		id := g.TemporalNodeID(root)
-		if r.dist[id] == 0 {
+		if r.dist[id] != 0 {
 			continue // duplicate root
 		}
-		r.dist[id] = 0
+		r.dist[id] = 1
 		r.reached++
 		seeds = append(seeds, int32(id))
 	}
@@ -244,8 +240,8 @@ func runReference(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Opt
 			tn := g.TemporalNodeFromID(int(id))
 			visitNeighborsOpts(g, tn, opts, func(nb egraph.TemporalNode) bool {
 				nbID := g.TemporalNodeID(nb)
-				if r.dist[nbID] < 0 {
-					r.dist[nbID] = k
+				if r.dist[nbID] == 0 {
+					r.dist[nbID] = k + 1
 					if r.parent != nil {
 						r.parent[nbID] = id
 					}
@@ -290,17 +286,13 @@ func inGraph(g *egraph.IntEvolvingGraph, tn egraph.TemporalNode) bool {
 		tn.Stamp >= 0 && int(tn.Stamp) < g.NumStamps()
 }
 
-func newResult(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) *Result {
+// newResult returns an empty result over g. Fresh allocations are
+// already its initial state, all unreached, so nothing is filled.
+func newResult(g *egraph.IntEvolvingGraph, trackParents bool) *Result {
 	size := g.NumNodes() * g.NumStamps()
-	r := &Result{g: g, root: root, opts: opts, dist: make([]int32, size)}
-	for i := range r.dist {
-		r.dist[i] = -1
-	}
-	if opts.TrackParents {
+	r := &Result{g: g, dist: make([]int32, size)}
+	if trackParents {
 		r.parent = make([]int32, size)
-		for i := range r.parent {
-			r.parent[i] = -1
-		}
 	}
 	return r
 }
@@ -412,5 +404,5 @@ func Reachable(g *egraph.IntEvolvingGraph, from, to egraph.TemporalNode, mode eg
 	if err != nil {
 		return false, err
 	}
-	return res.dist[stop] >= 0, nil
+	return res.dist[stop] != 0, nil
 }

@@ -68,7 +68,7 @@ const noStop = -1
 // runCSR expands the seeded frontier over g.CSR(), choosing how each
 // level runs with rule, until the frontier empties or — when stop is not
 // noStop — the level that reaches temporal-node id stop ends. Seeds must
-// already be recorded in r (dist 0, reached, level 0).
+// already be recorded in r (distance 0, reached, level 0).
 func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, rule levelRule, stop int32) {
 	csr := g.CSR()
 	f := frontierPool.Get().(*ds.Frontier)
@@ -86,7 +86,7 @@ func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, 
 		if opts.MaxDepth > 0 && int(k) > opts.MaxDepth {
 			break
 		}
-		if stop != noStop && dist[stop] >= 0 {
+		if stop != noStop && dist[stop] != 0 {
 			break // the previous level (or the seeding) reached stop
 		}
 		if parent == nil && rule.bitmap(len(f.Cur), sweep) {
@@ -107,7 +107,8 @@ func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, 
 
 // topDownLevel claims, at distance k, every unvisited out-neighbour of
 // the frontier and returns the number of static and causal arcs it
-// examined.
+// examined. Like every level it stores distance k as k+1 in dist (see
+// Result), so a comparison of stored values compares distances.
 //
 // Parent-tracking and consecutive-mode searches scan every causal arc in
 // the oracle's discovery order. An all-pairs search without parents
@@ -119,7 +120,7 @@ func runCSR(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options, 
 // level sizes and Visit order unchanged; only the order of f.Next
 // differs, which matters only for parents.
 func topDownLevel(csr *egraph.CSR, f *ds.Frontier, dist, parent []int32, k int32, useOut, forward, consecutive bool) (work int) {
-	n := int32(csr.N)
+	n, stored := int32(csr.N), k+1
 	cutoff := parent == nil && !consecutive
 	// The oracle scans causal stamps descending forward and ascending
 	// backward, i.e. farthest first; the cutoff needs nearest first.
@@ -135,7 +136,7 @@ func topDownLevel(csr *egraph.CSR, f *ds.Frontier, dist, parent []int32, k int32
 		work += len(arcs)
 		for _, nb := range arcs {
 			if !f.Visited.TestAndSet(int(nb)) {
-				dist[nb] = k
+				dist[nb] = stored
 				if parent != nil {
 					parent[nb] = id
 				}
@@ -152,12 +153,12 @@ func topDownLevel(csr *egraph.CSR, f *ds.Frontier, dist, parent []int32, k int32
 			nb := s*n + v
 			work++
 			if !f.Visited.TestAndSet(int(nb)) {
-				dist[nb] = k
+				dist[nb] = stored
 				if parent != nil {
 					parent[nb] = id
 				}
 				f.Push(nb)
-			} else if cutoff && dist[nb] < k {
+			} else if cutoff && dist[nb] < stored {
 				break
 			}
 		}
@@ -188,7 +189,7 @@ func topDownLevel(csr *egraph.CSR, f *ds.Frontier, dist, parent []int32, k int32
 // in ascending id order and without testing Visited.
 //
 // Last, NextBits &^ Visited is the level's discoveries: each is marked
-// visited, gets dist k and is pushed in ascending id order, and both
+// visited, gets distance k and is pushed in ascending id order, and both
 // bitmaps are left empty for the next level.
 func bitmapLevel(csr *egraph.CSR, f *ds.Frontier, dist []int32, k int32, rule levelRule, useOut, forward, consecutive bool) (work int) {
 	n := csr.N
@@ -287,7 +288,7 @@ func bitmapLevel(csr *egraph.CSR, f *ds.Frontier, dist []int32, k int32, rule le
 		vw[wi] |= w
 		for ; w != 0; w &= w - 1 {
 			id := int32(wi*64 + bits.TrailingZeros64(w))
-			dist[id] = k
+			dist[id] = k + 1
 			f.Push(id)
 		}
 	}

@@ -190,7 +190,7 @@ func causalWork(g *egraph.IntEvolvingGraph, res *Result, opts Options) int {
 	useOut := (opts.Direction == Forward) != opts.ReverseEdges
 	work := res.work
 	for id, d := range res.dist {
-		if d < 0 {
+		if d == 0 { // unreached
 			continue
 		}
 		if useOut {

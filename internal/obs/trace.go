@@ -23,7 +23,6 @@ type Tracer struct {
 	ringPos  int
 	slowRing []*Trace
 	slowPos  int
-	dropped  atomic.Uint64
 	kept     atomic.Uint64
 }
 

@@ -377,13 +377,18 @@ func TestWriteJSONLogsEncodeFailureOnce(t *testing.T) {
 	}
 }
 
+// failingResponseWriter fails every Write and counts them.
 type failingResponseWriter struct {
-	h http.Header
+	h      http.Header
+	writes int
 }
 
-func (w *failingResponseWriter) Header() http.Header       { return w.h }
-func (w *failingResponseWriter) WriteHeader(int)           {}
-func (w *failingResponseWriter) Write([]byte) (int, error) { return 0, errors.New("wire cut") }
+func (w *failingResponseWriter) Header() http.Header { return w.h }
+func (w *failingResponseWriter) WriteHeader(int)     {}
+func (w *failingResponseWriter) Write([]byte) (int, error) {
+	w.writes++
+	return 0, errors.New("wire cut")
+}
 
 // TestReplaceGraphDoesNotCacheStaleCompute reproduces the swap race:
 // a handler captures its (graph, revision) snapshot, ReplaceGraph

@@ -10,7 +10,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -26,12 +28,64 @@ func serve(h http.Handler, url string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// TestBFSBodyIsMarshalledResponse is the byte contract of the
-// append-encoded /bfs: its body is json.Marshal of the BFSResponse built
-// from the adjacency-map oracle, plus the newline writeJSON ends every
-// answer with — exactly what egmark's answer check digests. Every answer
-// declares its length, so the largest one per graph, fetched over a real
-// connection, is not sent chunked.
+// wantBFS is the specified /bfs body for a search from root under opts:
+// json.Marshal of the BFSResponse built from the adjacency-map oracle,
+// plus the newline writeJSON ends every answer with.
+func wantBFS(t *testing.T, g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts core.Options) []byte {
+	t.Helper()
+	opts.UseAdjacencyMaps = true
+	res, err := core.BFS(g, root, opts)
+	if err != nil {
+		t.Fatalf("oracle from %v: %v", root, err)
+	}
+	tn := func(tn egraph.TemporalNode) TemporalNodeJSON {
+		return TemporalNodeJSON{Node: tn.Node, Stamp: tn.Stamp, Label: g.TimeLabel(int(tn.Stamp))}
+	}
+	resp := BFSResponse{Root: tn(root), Levels: res.LevelSizes()}
+	res.Visit(func(v egraph.TemporalNode, d int) bool {
+		resp.Reached = append(resp.Reached, BFSEntry{TemporalNodeJSON: tn(v), Dist: d})
+		return true
+	})
+	body, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(body, '\n')
+}
+
+// chunkedGraph is a graph on which a forward search from a stamp-0 root
+// answers /bfs with a body of several chunks.
+func chunkedGraph() *egraph.IntEvolvingGraph {
+	return gen.Random(gen.RandomConfig{Nodes: 1000, Stamps: 8, Edges: 16000, Directed: true, Seed: 5})
+}
+
+// chunkedRoots returns up to n stamp-0 roots of chunkedGraph whose /bfs
+// bodies each span at least 4 chunks, with their URLs and bodies.
+func chunkedRoots(t *testing.T, g *egraph.IntEvolvingGraph, n int) (urls []string, bodies [][]byte) {
+	t.Helper()
+	for _, root := range g.ActiveTemporalNodes() {
+		if len(urls) == n || root.Stamp != 0 {
+			break
+		}
+		body := wantBFS(t, g, root, core.Options{})
+		if len(body) < 4*bfsChunk {
+			continue
+		}
+		urls = append(urls, fmt.Sprintf("/bfs?node=%d&stamp=0", root.Node))
+		bodies = append(bodies, body)
+	}
+	if len(urls) < n {
+		t.Fatalf("%d stamp-0 roots answer at least 4 chunks, want %d", len(urls), n)
+	}
+	return urls, bodies
+}
+
+// TestBFSBodyIsMarshalledResponse is the byte contract of the streamed
+// /bfs: its body is wantBFS — exactly what egmark's answer check
+// digests. Every answer declares its length, and the largest one per
+// graph, fetched over a real connection, is not sent chunked and has
+// the same bytes; on the "4-chunks" graph that answer spans at least
+// four of writeBFS's chunks.
 func TestBFSBodyIsMarshalledResponse(t *testing.T) {
 	// Labels far from stamp indices, negative among them, so a body
 	// that printed stamps or truncated labels would differ.
@@ -40,13 +94,15 @@ func TestBFSBodyIsMarshalledResponse(t *testing.T) {
 	wide.AddEdge(1, 2, 1_700_000_000_000)
 	wide.AddEdge(2, 0, 1_700_000_000_060)
 	graphs := []struct {
-		name string
-		g    *egraph.IntEvolvingGraph
+		name   string
+		g      *egraph.IntEvolvingGraph
+		chunks int // writeBFS chunks the largest answer must span
 	}{
-		{"figure1", egraph.Figure1Graph()},
-		{"wide-labels", wide.Build()},
-		{"random-directed", gen.Random(gen.RandomConfig{Nodes: 80, Stamps: 6, Edges: 400, Directed: true, Seed: 3})},
-		{"random-undirected", gen.Random(gen.RandomConfig{Nodes: 80, Stamps: 6, Edges: 300, Directed: false, Seed: 4})},
+		{"figure1", egraph.Figure1Graph(), 0},
+		{"wide-labels", wide.Build(), 0},
+		{"random-directed", gen.Random(gen.RandomConfig{Nodes: 80, Stamps: 6, Edges: 400, Directed: true, Seed: 3}), 0},
+		{"random-undirected", gen.Random(gen.RandomConfig{Nodes: 80, Stamps: 6, Edges: 300, Directed: false, Seed: 4}), 0},
+		{"4-chunks", chunkedGraph(), 4},
 	}
 	modes := map[string]egraph.CausalMode{"allpairs": egraph.CausalAllPairs, "consecutive": egraph.CausalConsecutive}
 	directions := map[string]core.Direction{"forward": core.Forward, "backward": core.Backward}
@@ -54,10 +110,8 @@ func TestBFSBodyIsMarshalledResponse(t *testing.T) {
 	for _, tc := range graphs {
 		g := tc.g
 		h := Handler(g)
-		largest, largestLen := "", 0
-		tn := func(tn egraph.TemporalNode) TemporalNodeJSON {
-			return TemporalNodeJSON{Node: tn.Node, Stamp: tn.Stamp, Label: g.TimeLabel(int(tn.Stamp))}
-		}
+		var largest string
+		var largestBody []byte
 		roots := g.ActiveTemporalNodes()
 		if stride := len(roots) / 12; stride > 1 {
 			var some []egraph.TemporalNode
@@ -70,23 +124,10 @@ func TestBFSBodyIsMarshalledResponse(t *testing.T) {
 			for mName, mode := range modes {
 				for dName, dir := range directions {
 					url := fmt.Sprintf("/bfs?node=%d&stamp=%d&mode=%s&direction=%s", root.Node, root.Stamp, mName, dName)
-					res, err := core.BFS(g, root, core.Options{Mode: mode, Direction: dir, UseAdjacencyMaps: true})
-					if err != nil {
-						t.Fatalf("%s %s: oracle: %v", tc.name, url, err)
-					}
-					if res.NumReached() == 1 {
+					want := wantBFS(t, g, root, core.Options{Mode: mode, Direction: dir})
+					if bytes.Count(want, []byte(`"dist"`)) == 1 {
 						singletons++
 					}
-					resp := BFSResponse{Root: tn(root), Levels: res.LevelSizes()}
-					res.Visit(func(v egraph.TemporalNode, d int) bool {
-						resp.Reached = append(resp.Reached, BFSEntry{TemporalNodeJSON: tn(v), Dist: d})
-						return true
-					})
-					want, err := json.Marshal(resp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = append(want, '\n')
 					rec := httptest.NewRecorder()
 					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
 					status, got := rec.Code, rec.Body.Bytes()
@@ -96,8 +137,8 @@ func TestBFSBodyIsMarshalledResponse(t *testing.T) {
 					if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(got)) {
 						t.Fatalf("%s %s: Content-Length %q for a %d-byte body", tc.name, url, cl, len(got))
 					}
-					if len(got) > largestLen {
-						largest, largestLen = url, len(got)
+					if len(got) > len(largestBody) {
+						largest, largestBody = url, want
 					}
 					if !bytes.Equal(got, want) {
 						i := 0
@@ -110,7 +151,10 @@ func TestBFSBodyIsMarshalledResponse(t *testing.T) {
 				}
 			}
 		}
-		checkNotChunked(t, h, largest, largestLen)
+		if len(largestBody) < tc.chunks*bfsChunk {
+			t.Errorf("%s: largest answer %d bytes, want at least %d chunks of %d", tc.name, len(largestBody), tc.chunks, bfsChunk)
+		}
+		checkNotChunked(t, h, largest, largestBody)
 	}
 	if singletons == 0 {
 		t.Error("no root reached only itself; the single-entry body went untested")
@@ -118,9 +162,9 @@ func TestBFSBodyIsMarshalledResponse(t *testing.T) {
 }
 
 // checkNotChunked fetches url from h over a real connection and checks
-// that the response declares its n-byte body's length and is not sent
+// that the response is want, declares its length and is not sent
 // chunked.
-func checkNotChunked(t *testing.T, h http.Handler, url string, n int) {
+func checkNotChunked(t *testing.T, h http.Handler, url string, want []byte) {
 	t.Helper()
 	hs := httptest.NewServer(h)
 	defer hs.Close()
@@ -133,10 +177,96 @@ func checkNotChunked(t *testing.T, h http.Handler, url string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ContentLength != int64(n) || len(body) != n || len(resp.TransferEncoding) != 0 {
+	if n := len(want); resp.ContentLength != int64(n) || len(body) != n || len(resp.TransferEncoding) != 0 {
 		t.Errorf("%s: ContentLength %d, TransferEncoding %q, %d bytes read; want %d bytes with their length declared",
 			url, resp.ContentLength, resp.TransferEncoding, len(body), n)
 	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("%s: body over a real connection differs from json.Marshal", url)
+	}
+}
+
+// TestBFSStopsAtFirstFailedWrite: once a chunk fails to go out, writeBFS
+// writes nothing more, so a client gone mid-answer costs one Write.
+func TestBFSStopsAtFirstFailedWrite(t *testing.T) {
+	g := chunkedGraph()
+	urls, _ := chunkedRoots(t, g, 1)
+	s := New(g, Config{Logf: func(string, ...interface{}) {}})
+	w := &failingResponseWriter{h: http.Header{}}
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, urls[0], nil))
+	if w.writes != 1 {
+		t.Fatalf("%s into a writer that fails every Write: %d writes, want 1", urls[0], w.writes)
+	}
+}
+
+// TestBFSAllocationIsBoundedByChunk: a /bfs answer goes out through one
+// pooled chunk, so one request allocates the search's distance array
+// and a constant, however large its body. A handler that built the
+// whole body in memory would allocate at least the body.
+func TestBFSAllocationIsBoundedByChunk(t *testing.T) {
+	g := chunkedGraph()
+	urls, bodies := chunkedRoots(t, g, 1)
+	const slack = 32 << 10 // the request, its trace and histogram plumbing, the level list
+	bound := 4*g.NumNodes()*g.NumStamps() + slack
+	if len(bodies[0]) <= bound {
+		t.Fatalf("a %d-byte body is within the %d-byte bound, so the bound cannot tell streaming from buffering", len(bodies[0]), bound)
+	}
+	s := New(g, Config{})
+	req := httptest.NewRequest(http.MethodGet, urls[0], nil)
+	w := &discardWriter{h: http.Header{}}
+	// The least of several runs: one that found the chunk and the
+	// search's frontier in their pools and overlapped no other
+	// goroutine's allocations.
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		clear(w.h)
+		runtime.ReadMemStats(&before)
+		s.ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%s: %d bytes allocated, bound %d, body %d", urls[0], least, bound, len(bodies[0]))
+	if least > uint64(bound) {
+		t.Errorf("%s: one request allocates %d bytes, want at most %d (a %d-byte body)", urls[0], least, bound, len(bodies[0]))
+	}
+}
+
+// TestBFSConcurrentBodies runs 8 /bfs requests at once over loopback,
+// each from its own root and each answer several chunks long, and
+// checks every body byte for byte. Concurrent handlers draw their
+// chunks from one pool; under -race this guards that no two share one.
+func TestBFSConcurrentBodies(t *testing.T) {
+	const clients = 8
+	g := chunkedGraph()
+	urls, bodies := chunkedRoots(t, g, clients)
+	hs := httptest.NewServer(Handler(g))
+	defer hs.Close()
+	var wg sync.WaitGroup
+	for i := range urls {
+		wg.Add(1)
+		go func(url string, want []byte) {
+			defer wg.Done()
+			for j := 0; j < 3; j++ {
+				resp, err := http.Get(hs.URL + url)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.ContentLength != int64(len(want)) || !bytes.Equal(body, want) {
+					t.Errorf("%s: %d bytes (declared %d), want the %d-byte marshalled answer", url, len(body), resp.ContentLength, len(want))
+					return
+				}
+			}
+		}(urls[i], bodies[i])
+	}
+	wg.Wait()
 }
 
 // TestReachBodyIsMarshalledResponse: the /reach body, whose distinct

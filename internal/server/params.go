@@ -55,9 +55,12 @@ func (s *Server) params(r *http.Request) *params {
 	return s.paramsFor(r.URL.Query())
 }
 
-// okParams reports whether parsing succeeded, writing the 400 response
-// if it did not.
+// okParams names p's snapshot in the X-Graph-Revision header, so that
+// a search answer, success or failure, says which revision it read,
+// and reports whether parsing succeeded, writing the 400 response if it
+// did not.
 func (s *Server) okParams(w http.ResponseWriter, p *params) bool {
+	w.Header()["X-Graph-Revision"] = []string{strconv.FormatUint(p.rev, 10)}
 	if p.err != nil {
 		s.writeError(w, http.StatusBadRequest, p.rev, p.err.Error())
 		return false

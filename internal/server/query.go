@@ -2,8 +2,10 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/egraph"
@@ -85,50 +87,140 @@ func (s *Server) bfs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), p.rev, err.Error())
 		return
 	}
-	s.writeBody(w, http.StatusOK, encodeBFS(p.g, root, res))
+	// The declared length keeps the answer from going out chunked and
+	// lets the client size its read buffer once.
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(bfsBodyLen(p.g, root, res))}
+	w.WriteHeader(http.StatusOK)
+	s.logEncodeErr(writeBFS(w, p.g, root, res))
 }
 
-// encodeBFS returns the /bfs body for res: byte for byte what writeJSON
-// makes of the BFSResponse (TestBFSBodyIsMarshalledResponse is the
-// specification), appended into one presized buffer instead of built as
-// one BFSEntry per reached temporal node for encoding/json to reflect
-// over. A successful search reaches at least its root, so neither list
-// is ever JSON null.
-func encodeBFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, res *core.Result) []byte {
-	levels := res.LevelSizes()
-	// An entry, {"node":N,"stamp":S,"label":L,"dist":D}, is ~45 bytes.
-	dst := make([]byte, 0, 64+48*res.NumReached()+8*len(levels))
-	dst = append(dst, `{"root":{"node":`...)
-	dst = strconv.AppendInt(dst, int64(root.Node), 10)
-	dst = appendStampLabel(dst, g, root.Stamp)
-	dst = append(dst, `},"reached":[`...)
+// bfsChunk is the size of the buffer a /bfs answer is encoded into and
+// written out from, one buffer at a time: a cold search holds this
+// much of its answer, not the whole body (0.7–1 MB on egmark's
+// search-cold graph). bfsItemMax is the most one step of the encoding
+// appends: the root's head, one reached entry with its comma, one level
+// count, or the tail, each at most ~90 bytes with 64-bit labels.
+const (
+	bfsChunk   = 64 << 10
+	bfsItemMax = 128
+)
+
+// bfsChunks recycles the chunks of concurrent /bfs answers.
+var bfsChunks = sync.Pool{New: func() interface{} {
+	b := make([]byte, 0, bfsChunk)
+	return &b
+}}
+
+// writeBFS writes the /bfs body for res to w: byte for byte what
+// writeJSON makes of the BFSResponse (TestBFSBodyIsMarshalledResponse
+// is the specification), and exactly bfsBodyLen bytes. It is appended
+// from res.Visit into one pooled chunk, written out whenever fewer than
+// bfsItemMax bytes are free, instead of built as one BFSEntry per
+// reached temporal node for encoding/json to reflect over. It stops at
+// the first failed write and returns its error. A successful search
+// reaches at least its root, so neither list is ever JSON null.
+func writeBFS(w io.Writer, g *egraph.IntEvolvingGraph, root egraph.TemporalNode, res *core.Result) error {
+	chunk := bfsChunks.Get().(*[]byte)
+	defer bfsChunks.Put(chunk)
+	c := chunkWriter{w: w, buf: (*chunk)[:0]}
+	c.buf = append(c.buf, `{"root":{"node":`...)
+	c.buf = strconv.AppendInt(c.buf, int64(root.Node), 10)
+	c.buf = appendStampLabel(c.buf, g, root.Stamp)
+	c.buf = append(c.buf, `},"reached":[`...)
 	// Visit runs stamp-major, so the `,"stamp":S,"label":L,"dist":`
-	// middle of an entry is re-rendered once per stamp, not per entry.
+	// middle of an entry is rendered once per stamp, not per entry.
 	var mid []byte
 	stamp := int32(-1)
+	first := true
 	res.Visit(func(tn egraph.TemporalNode, d int) bool {
+		if !c.room() {
+			return false
+		}
 		if tn.Stamp != stamp {
 			stamp = tn.Stamp
 			mid = append(appendStampLabel(mid[:0], g, stamp), `,"dist":`...)
 		}
-		if dst[len(dst)-1] == '}' { // not the first entry, which follows '['
-			dst = append(dst, ',')
+		if !first {
+			c.buf = append(c.buf, ',')
 		}
-		dst = append(dst, `{"node":`...)
-		dst = strconv.AppendInt(dst, int64(tn.Node), 10)
-		dst = append(dst, mid...)
-		dst = strconv.AppendInt(dst, int64(d), 10)
-		dst = append(dst, '}')
+		first = false
+		c.buf = append(c.buf, `{"node":`...)
+		c.buf = strconv.AppendInt(c.buf, int64(tn.Node), 10)
+		c.buf = append(c.buf, mid...)
+		c.buf = strconv.AppendInt(c.buf, int64(d), 10)
+		c.buf = append(c.buf, '}')
 		return true
 	})
-	dst = append(dst, `],"levels":[`...)
-	for i, n := range levels {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, int64(n), 10)
+	if !c.room() {
+		return c.err
 	}
-	return append(dst, "]}\n"...)
+	c.buf = append(c.buf, `],"levels":[`...)
+	for i, n := range res.LevelSizes() {
+		if !c.room() {
+			return c.err
+		}
+		if i > 0 {
+			c.buf = append(c.buf, ',')
+		}
+		c.buf = strconv.AppendInt(c.buf, int64(n), 10)
+	}
+	if !c.room() {
+		return c.err
+	}
+	c.buf = append(c.buf, "]}\n"...)
+	c.flush()
+	return c.err
+}
+
+// bfsBodyLen is the length of the body writeBFS writes for res,
+// counted from the same pieces without rendering them.
+func bfsBodyLen(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, res *core.Result) int {
+	n := len(`{"root":{"node":`) + decLen(int64(root.Node)) + stampLabelLen(g, root.Stamp) + len(`},"reached":[`)
+	mid := 0
+	stamp := int32(-1)
+	res.Visit(func(tn egraph.TemporalNode, d int) bool {
+		if tn.Stamp != stamp {
+			stamp = tn.Stamp
+			mid = stampLabelLen(g, stamp) + len(`,"dist":`)
+		}
+		n += len(`,{"node":`) + decLen(int64(tn.Node)) + mid + decLen(int64(d)) + len(`}`)
+		return true
+	})
+	n-- // the first entry has no comma
+	n += len(`],"levels":[`) + len("]}\n")
+	for i, l := range res.LevelSizes() {
+		if i > 0 {
+			n++
+		}
+		n += decLen(int64(l))
+	}
+	return n
+}
+
+// chunkWriter is writeBFS's chunk: buf is written to w and emptied when
+// it is full, and after the first failed write nothing more is written.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// room writes the chunk out if fewer than bfsItemMax bytes are free,
+// and reports whether every write so far succeeded.
+func (c *chunkWriter) room() bool {
+	if cap(c.buf)-len(c.buf) < bfsItemMax {
+		c.flush()
+	}
+	return c.err == nil
+}
+
+func (c *chunkWriter) flush() {
+	if c.err == nil && len(c.buf) > 0 {
+		_, c.err = c.w.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
 }
 
 // appendStampLabel appends the stamp and label fields of a
@@ -138,6 +230,23 @@ func appendStampLabel(dst []byte, g *egraph.IntEvolvingGraph, stamp int32) []byt
 	dst = strconv.AppendInt(dst, int64(stamp), 10)
 	dst = append(dst, `,"label":`...)
 	return strconv.AppendInt(dst, g.TimeLabel(int(stamp)), 10)
+}
+
+// stampLabelLen is the length of what appendStampLabel appends.
+func stampLabelLen(g *egraph.IntEvolvingGraph, stamp int32) int {
+	return len(`,"stamp":`) + decLen(int64(stamp)) + len(`,"label":`) + decLen(g.TimeLabel(int(stamp)))
+}
+
+// decLen is the length of strconv.AppendInt(nil, v, 10).
+func decLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // PathResponse is the wire form of /path.

@@ -45,7 +45,8 @@
 // an X-Cache header to "miss", "hit", "collapsed", "carried" (kept
 // across a swap by maintained analytics) or "stale" (Config.ServeStale)
 // and an X-Graph-Revision header naming the snapshot the answer
-// belongs to. ServeWire answers the same cached queries, ingest
+// belongs to; the five search endpoints (/bfs to /criteria) set
+// X-Graph-Revision too. ServeWire answers the same cached queries, ingest
 // batches and the change feed over the binary EGWP protocol (wire.go).
 // AttachIngest connects the durable write path of internal/ingest,
 // making the served graph live: accepted mutation batches fold into
@@ -63,7 +64,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -645,18 +645,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	s.logEncodeErr(json.NewEncoder(w).Encode(v))
-}
-
-// writeBody answers an already encoded JSON body, as writeJSON would
-// have written it. The declared length keeps a large body from going
-// out chunked and lets the client size its read buffer once.
-func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	_, err := w.Write(body)
-	s.logEncodeErr(err)
 }
 
 func (s *Server) logEncodeErr(err error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro/internal/egraph"
@@ -146,6 +147,29 @@ func TestCriteria(t *testing.T) {
 	// Never-active source node → 404.
 	get(t, h, "/criteria?src=2&dst=0", http.StatusOK, &resp) // node 2 is active (t2,t3)
 	get(t, h, "/criteria?src=0&dst=9", http.StatusBadRequest, nil)
+}
+
+// TestSearchAnswersNameRevision: a 200 from each search endpoint names
+// the snapshot it searched in X-Graph-Revision, as a cached answer does.
+func TestSearchAnswersNameRevision(t *testing.T) {
+	s := New(egraph.Figure1Graph(), Config{})
+	want := strconv.FormatUint(s.ReplaceGraph(egraph.Figure1Graph()), 10)
+	for _, url := range []string{
+		"/bfs?node=0&stamp=0",
+		"/reach?node=0&stamp=0",
+		"/path?from=0,0&to=2,2",
+		"/neighbors?node=0&stamp=0",
+		"/criteria?src=0&dst=2",
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Graph-Revision"); got != want {
+			t.Errorf("%s: X-Graph-Revision %q, want %q", url, got, want)
+		}
+	}
 }
 
 // The handler must be safe for concurrent queries (run with -race).

@@ -81,14 +81,6 @@ func DecodeIngest(b []byte) ([]ingest.Event, error) {
 	return events, nil
 }
 
-// IngestAccepted is the decoded body of a TIngest acknowledgement —
-// the same fields the HTTP 202 response carries.
-type IngestAccepted struct {
-	Accepted int    `json:"accepted"`
-	Seq      uint64 `json:"seq"`
-	Pending  int64  `json:"pending"`
-}
-
 // AppendSubscribe encodes a TSubscribe payload.
 func AppendSubscribe(buf []byte, spec feed.Spec) []byte {
 	buf = append(buf, byte(spec.Kind))
