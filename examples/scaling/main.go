@@ -5,8 +5,9 @@
 //
 // The paper ran 10⁵ active nodes, 10 stamps and |Ẽ| up to ~5×10⁸ on a
 // 1 TB machine; this example keeps the generator and algorithm identical
-// but defaults to laptop-sized edge counts. Run cmd/egbench for the
-// full-control version with a least-squares linearity report.
+// but defaults to laptop-sized edge counts. The root package's
+// BenchmarkFig5ScalingBFS reports the same line's coefficient as
+// ns/static-edge (go test -run '^$' -bench Fig5 .).
 package main
 
 import (

@@ -169,7 +169,7 @@ func (g *IntEvolvingGraph) EnsureCSR(opts CSRBuildOptions) *CSR {
 }
 
 // BuildFlatCSR builds a flat CSR view of g without touching the
-// graph's cache — the entry point egbench's csr suite uses to race
+// graph's cache — the entry point BenchmarkGateCSRBuild uses to race
 // sequential against parallel builds on one graph. The build is
 // deterministic: sequential and parallel fills produce bit-identical
 // arrays, because the per-stamp offsets are computed up front from the

@@ -109,7 +109,7 @@ func requireEquivalent(t *testing.T, got, want *IntEvolvingGraph) {
 		}
 	}
 	// The flat views must come out byte-identical — the same assertion
-	// egbench's compact suite races in CI.
+	// internal/ingest's BenchmarkGateCompact makes before it times.
 	gc := BuildFlatCSR(got, CSRBuildOptions{Workers: 1})
 	wc := BuildFlatCSR(want, CSRBuildOptions{Workers: 1})
 	if !reflect.DeepEqual(gc, wc) {

@@ -5,7 +5,7 @@
 // synthetic citation networks (the substitution for the unnamed
 // citation data of Sec. V), and raw timed edge streams. All generators
 // are pure functions of their seed, so every workload — including the
-// engine-comparison sweeps of cmd/egbench — is reproducible
+// graphs of the ratio gates (BenchmarkGate*) — is reproducible
 // bit-for-bit.
 package gen
 

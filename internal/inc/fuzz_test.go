@@ -145,7 +145,7 @@ func FuzzIncKatz(f *testing.F) {
 		directed, epochs := decodeEpochs(data)
 		g := fuzzBase(directed)
 		m := New(Config{})
-		checkEpoch(t, m.Prime(g), g)
+		CheckEpoch(t, m.Prime(g), g)
 		for _, delta := range epochs {
 			g = step(t, m, g, delta)
 		}

@@ -19,8 +19,8 @@
 //
 // The existing full recomputations (components.WeakOpts,
 // rank.TemporalKatz) are kept verbatim as differential oracles: the
-// package tests, the fuzz harness and egbench's inc suite assert the
-// maintained results equivalent to a from-scratch recompute after
+// package tests, the fuzz harness and BenchmarkGateMaintainer assert
+// the maintained results equivalent to a from-scratch recompute after
 // every epoch.
 //
 // Every Apply also classifies the revision for the serving layer's
@@ -371,15 +371,8 @@ func katzMode(i int) egraph.CausalMode {
 
 // WeakOracle is the differential oracle of the weak maintenance: the
 // verbatim full recomputation the maintained partition must match.
-// Exposed so tests, the fuzz harness and egbench's inc suite all
+// Exposed so the tests, the fuzz harness and the ratio gate all
 // compare against the same ground truth.
 func WeakOracle(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []components.Component {
 	return components.WeakOpts(g, components.Options{Mode: mode})
-}
-
-// MatchesWeak checks the maintained partition against the oracle's
-// component list: same canonical labelling (minimum member id per
-// component) over every active temporal node, same sizes.
-func (r *Results) MatchesWeak(g *egraph.IntEvolvingGraph, oracle []components.Component) error {
-	return matchWeak(r, g, oracle)
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/components"
 	"repro/internal/egraph"
 	"repro/internal/rank"
 )
@@ -18,9 +20,9 @@ func katzTol(a, b float64) float64 {
 	return 1e-12 * math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// checkEpoch asserts the maintained results of one epoch equivalent to
+// CheckEpoch asserts the maintained results of one epoch equivalent to
 // the verbatim full recomputations, in both causal modes.
-func checkEpoch(t testing.TB, res *Results, g *egraph.IntEvolvingGraph) {
+func CheckEpoch(t testing.TB, res *Results, g *egraph.IntEvolvingGraph) {
 	t.Helper()
 	for mi := 0; mi < 2; mi++ {
 		mode := katzMode(mi)
@@ -50,13 +52,59 @@ func checkEpoch(t testing.TB, res *Results, g *egraph.IntEvolvingGraph) {
 	}
 }
 
+// MatchesWeak checks a maintained partition against the oracle's
+// component list: identical member sets under the canonical labelling
+// (each oracle component's first member is its minimum id — members
+// are stamp-major sorted), identical sizes.
+func (r *Results) MatchesWeak(g *egraph.IntEvolvingGraph, oracle []components.Component) error {
+	if len(oracle) != r.WeakCount {
+		return fmt.Errorf("component count: maintained %d, oracle %d", r.WeakCount, len(oracle))
+	}
+	sizes := make([]int, len(oracle))
+	total := 0
+	for i, comp := range oracle {
+		sizes[i] = len(comp)
+		total += len(comp)
+		label := int32(int(comp[0].Stamp)*r.n + int(comp[0].Node))
+		for _, tn := range comp {
+			id := int(tn.Stamp)*r.n + int(tn.Node)
+			if id < 0 || id >= len(r.comp) {
+				return fmt.Errorf("oracle member (%d,%d) out of maintained range", tn.Node, tn.Stamp)
+			}
+			if r.comp[id] != label {
+				return fmt.Errorf("member (%d,%d): maintained label %d, oracle %d",
+					tn.Node, tn.Stamp, r.comp[id], label)
+			}
+		}
+	}
+	labelled := 0
+	for _, c := range r.comp {
+		if c >= 0 {
+			labelled++
+		}
+	}
+	if labelled != total {
+		return fmt.Errorf("labelled %d temporal nodes, oracle covers %d", labelled, total)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	if len(sizes) != len(r.WeakSizes) {
+		return fmt.Errorf("size list length: maintained %d, oracle %d", len(r.WeakSizes), len(sizes))
+	}
+	for i := range sizes {
+		if sizes[i] != r.WeakSizes[i] {
+			return fmt.Errorf("size[%d]: maintained %d, oracle %d", i, r.WeakSizes[i], sizes[i])
+		}
+	}
+	return nil
+}
+
 // step patches g with delta, rolls the maintainer forward, and asserts
 // epoch equivalence against the oracles.
 func step(t testing.TB, m *Maintainer, g *egraph.IntEvolvingGraph, delta []egraph.ArcDelta) *egraph.IntEvolvingGraph {
 	t.Helper()
 	ng := egraph.Patch(g, delta)
 	res := m.Apply(g, ng, delta)
-	checkEpoch(t, res, ng)
+	CheckEpoch(t, res, ng)
 	return ng
 }
 
@@ -92,7 +140,7 @@ func TestScenarioDirected(t *testing.T) {
 		{5, 6, 30}, // component C
 	})
 	m := New(Config{})
-	checkEpoch(t, m.Prime(g), g)
+	CheckEpoch(t, m.Prime(g), g)
 
 	// Add-only on an unchanged axis: close a cycle in A and activate
 	// node 0 at a stamp it was inactive at — Katz absorbs it through
@@ -137,14 +185,14 @@ func TestScenarioDirected(t *testing.T) {
 	if !res.NoOp() || !res.PartitionUnchanged() || !res.AxisUnchanged() {
 		t.Fatalf("no-op epoch misclassified: %+v", res)
 	}
-	checkEpoch(t, res, ng)
+	CheckEpoch(t, res, ng)
 }
 
 // TestScenarioUndirected covers the canonicalised-arc path.
 func TestScenarioUndirected(t *testing.T) {
 	g := build(false, []arc{{0, 1, 10}, {2, 3, 10}, {1, 2, 20}})
 	m := New(Config{})
-	checkEpoch(t, m.Prime(g), g)
+	CheckEpoch(t, m.Prime(g), g)
 	// (3,2) must canonicalise onto the existing (2,3): a no-op add.
 	g = step(t, m, g, []egraph.ArcDelta{add(3, 2, 10), add(0, 3, 20)})
 	g = step(t, m, g, []egraph.ArcDelta{del(2, 3, 10)})
@@ -165,7 +213,7 @@ func TestClassification(t *testing.T) {
 	delta := []egraph.ArcDelta{add(3, 2, 10)}
 	ng := egraph.Patch(g, delta)
 	res := m.Apply(g, ng, delta)
-	checkEpoch(t, res, ng)
+	CheckEpoch(t, res, ng)
 	if !res.AxisUnchanged() || !res.PartitionUnchanged() {
 		t.Fatalf("axis/partition misclassified: axis %v partition %v",
 			res.AxisUnchanged(), res.PartitionUnchanged())
@@ -186,7 +234,7 @@ func TestClassification(t *testing.T) {
 	delta = []egraph.ArcDelta{add(1, 2, 10)}
 	ng = egraph.Patch(g, delta)
 	res = m.Apply(g, ng, delta)
-	checkEpoch(t, res, ng)
+	CheckEpoch(t, res, ng)
 	if res.PartitionUnchanged() {
 		t.Fatal("merge left partition flagged unchanged")
 	}
@@ -199,7 +247,7 @@ func TestClassification(t *testing.T) {
 	delta = []egraph.ArcDelta{add(0, 1, 99)}
 	ng = egraph.Patch(g, delta)
 	res = m.Apply(g, ng, delta)
-	checkEpoch(t, res, ng)
+	CheckEpoch(t, res, ng)
 	if res.AxisUnchanged() || res.QueryUnaffected(2, 0) {
 		t.Fatal("axis change must disable carry-over")
 	}
@@ -214,7 +262,7 @@ func TestPrimeOnForeignBase(t *testing.T) {
 	m.Prime(g1)
 	other := build(true, []arc{{4, 5, 10}})
 	res := m.Apply(other, g2, nil) // base mismatch
-	checkEpoch(t, res, g2)
+	CheckEpoch(t, res, g2)
 }
 
 // TestRandomEpochs drives many randomized delta sequences through the
@@ -229,7 +277,7 @@ func TestRandomEpochs(t *testing.T) {
 			directed := seed%2 == 0
 			g := build(directed, []arc{{0, 1, 10}, {2, 3, 20}})
 			m := New(Config{})
-			checkEpoch(t, m.Prime(g), g)
+			CheckEpoch(t, m.Prime(g), g)
 			for epoch := 0; epoch < 30; epoch++ {
 				k := 1 + rng.Intn(10)
 				delta := make([]egraph.ArcDelta, 0, k)

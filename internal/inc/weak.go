@@ -1,10 +1,8 @@
 package inc
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/components"
 	"repro/internal/ds"
 	"repro/internal/egraph"
 )
@@ -68,50 +66,4 @@ func (m *Maintainer) weakLabels(g *egraph.IntEvolvingGraph, uf *ds.UnionFind) (c
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	return comp, sizes, len(roots)
-}
-
-// matchWeak checks a maintained partition against the oracle's
-// component list: identical member sets under the canonical labelling
-// (each oracle component's first member is its minimum id — members
-// are stamp-major sorted), identical sizes.
-func matchWeak(r *Results, g *egraph.IntEvolvingGraph, oracle []components.Component) error {
-	if len(oracle) != r.WeakCount {
-		return fmt.Errorf("component count: maintained %d, oracle %d", r.WeakCount, len(oracle))
-	}
-	sizes := make([]int, len(oracle))
-	total := 0
-	for i, comp := range oracle {
-		sizes[i] = len(comp)
-		total += len(comp)
-		label := int32(int(comp[0].Stamp)*r.n + int(comp[0].Node))
-		for _, tn := range comp {
-			id := int(tn.Stamp)*r.n + int(tn.Node)
-			if id < 0 || id >= len(r.comp) {
-				return fmt.Errorf("oracle member (%d,%d) out of maintained range", tn.Node, tn.Stamp)
-			}
-			if r.comp[id] != label {
-				return fmt.Errorf("member (%d,%d): maintained label %d, oracle %d",
-					tn.Node, tn.Stamp, r.comp[id], label)
-			}
-		}
-	}
-	labelled := 0
-	for _, c := range r.comp {
-		if c >= 0 {
-			labelled++
-		}
-	}
-	if labelled != total {
-		return fmt.Errorf("labelled %d temporal nodes, oracle covers %d", labelled, total)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	if len(sizes) != len(r.WeakSizes) {
-		return fmt.Errorf("size list length: maintained %d, oracle %d", len(r.WeakSizes), len(sizes))
-	}
-	for i := range sizes {
-		if sizes[i] != r.WeakSizes[i] {
-			return fmt.Errorf("size[%d]: maintained %d, oracle %d", i, r.WeakSizes[i], sizes[i])
-		}
-	}
-	return nil
 }

@@ -39,15 +39,31 @@ func eventLabels(events []Event) map[int64]bool {
 }
 
 // assertGraphsIdentical compares the strong way: shape, labels,
-// per-stamp edge streams and freshly built flat CSR views.
-func assertGraphsIdentical(t *testing.T, got, want *egraph.IntEvolvingGraph) {
+// per-stamp weighted edge streams and freshly built flat CSR views.
+func assertGraphsIdentical(t testing.TB, got, want *egraph.IntEvolvingGraph) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumStamps() != want.NumStamps() {
 		t.Fatalf("shape (%d nodes, %d stamps), want (%d nodes, %d stamps)",
 			got.NumNodes(), got.NumStamps(), want.NumNodes(), want.NumStamps())
 	}
-	if ge, we := edgeSet(got), edgeSet(want); !reflect.DeepEqual(ge, we) {
-		t.Fatalf("edge sets differ: got %v, want %v", ge, we)
+	if gl, wl := got.TimeLabels(), want.TimeLabels(); !reflect.DeepEqual(gl, wl) {
+		t.Fatalf("time labels %v, want %v", gl, wl)
+	}
+	type arc struct {
+		u, v int32
+		w    float64
+	}
+	stream := func(g *egraph.IntEvolvingGraph, s int) (out []arc) {
+		g.VisitEdges(int32(s), func(u, v int32, w float64) bool {
+			out = append(out, arc{u, v, w})
+			return true
+		})
+		return out
+	}
+	for s := 0; s < got.NumStamps(); s++ {
+		if ga, wa := stream(got, s), stream(want, s); !reflect.DeepEqual(ga, wa) {
+			t.Fatalf("stamp %d: %d arcs, want %d, or the streams differ", s, len(ga), len(wa))
+		}
 	}
 	gc := egraph.BuildFlatCSR(got, egraph.CSRBuildOptions{Workers: 1})
 	wc := egraph.BuildFlatCSR(want, egraph.CSRBuildOptions{Workers: 1})

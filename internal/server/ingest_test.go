@@ -175,6 +175,18 @@ func TestIngestFoldVisibleToReads(t *testing.T) {
 	if m.Ingest == nil || m.Ingest.Epochs != 1 || m.Ingest.CompactedEvents != 2 {
 		t.Fatalf("metrics ingest = %+v", m.Ingest)
 	}
+
+	// A batch that removes every arc leaves no nodes and no stamps, and
+	// /stats still answers.
+	if rec := doPost(t, srv, "/ingest/arcs", "{\"op\":\"remove\",\"u\":0,\"v\":1,\"t\":1}\n"+
+		"{\"op\":\"remove\",\"u\":0,\"v\":2,\"t\":2}\n{\"op\":\"remove\",\"u\":1,\"v\":2,\"t\":3}\n"+
+		"{\"op\":\"remove\",\"u\":2,\"v\":3,\"t\":7}\n"); rec.Code != http.StatusAccepted {
+		t.Fatalf("remove-all write: %d %s", rec.Code, rec.Body.String())
+	}
+	if n := lg.CompactNow(); n != 4 {
+		t.Fatalf("folded %d events, want 4", n)
+	}
+	checkEmptyStats(t, srv)
 }
 
 // TestReadDuringSwapConsistency extends the PR 3 singleflight hammer

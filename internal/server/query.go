@@ -53,11 +53,16 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		CausalEdges:  g.CausalEdgeCount(egraph.CausalAllPairs),
 		ActiveNodes:  g.NumActiveNodes(),
 		Directed:     g.Directed(),
-		FirstLabel:   g.TimeLabel(0),
-		LastLabel:    g.TimeLabel(g.NumStamps() - 1),
 		EdgesByStamp: edges,
-		TimeLabels:   g.TimeLabels(),
-		Density:      float64(g.NumActiveNodes()) / float64(g.NumNodes()*g.NumStamps()),
+		TimeLabels:   []int64{},
+	}
+	// A graph with no arcs has no stamps: its labels and density stay 0
+	// rather than indexing an empty axis or dividing 0 by 0.
+	if n := g.NumStamps(); n > 0 {
+		resp.TimeLabels = g.TimeLabels()
+		resp.FirstLabel = g.TimeLabel(0)
+		resp.LastLabel = g.TimeLabel(n - 1)
+		resp.Density = float64(g.NumActiveNodes()) / float64(g.NumNodes()*n)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -267,7 +272,7 @@ func (s *Server) path(w http.ResponseWriter, r *http.Request) {
 	}
 	path, err := core.ShortestPath(p.g, from, to, mode)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, p.rev, err.Error())
+		s.writeError(w, errStatus(err), p.rev, err.Error())
 		return
 	}
 	if path == nil {
@@ -320,6 +325,12 @@ func (s *Server) neighbors(w http.ResponseWriter, r *http.Request) {
 	tn := p.temporalNode("node", "stamp")
 	mode := p.mode()
 	if !s.okParams(w, p) {
+		return
+	}
+	if !p.g.IsActive(tn.Node, tn.Stamp) {
+		// Def. 5: an inactive temporal node has no neighbours; it is
+		// the same 404 every search answers for it.
+		s.writeError(w, errStatus(core.ErrInactiveRoot), p.rev, core.ErrInactiveRoot.Error())
 		return
 	}
 	resp := NeighborsResponse{Of: tnJSON(p.g, tn)}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/egraph"
@@ -42,6 +43,22 @@ func TestStats(t *testing.T) {
 	}
 	if len(resp.EdgesByStamp) != 3 || resp.EdgesByStamp[0] != 1 {
 		t.Fatalf("edgesByStamp = %v", resp.EdgesByStamp)
+	}
+	// A graph with no arcs has no stamps: zero labels and density, and
+	// empty lists rather than null.
+	checkEmptyStats(t, Handler(egraph.NewBuilder(true).Build()))
+}
+
+// checkEmptyStats asserts h's /stats is the answer for a graph with no
+// nodes and no stamps.
+func checkEmptyStats(t *testing.T, h http.Handler) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	want := `{"nodes":0,"stamps":0,"staticEdges":0,"causalEdges":0,"activeTemporalNodes":0,"directed":true,` +
+		`"firstLabel":0,"lastLabel":0,"edgesByStamp":[],"timeLabels":[],"activeDensity":0}`
+	if rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != want {
+		t.Fatalf("empty graph /stats: %d %s, want 200 %s", rec.Code, rec.Body.String(), want)
 	}
 }
 
@@ -102,6 +119,8 @@ func TestPath(t *testing.T) {
 	get(t, h, "/path?from=0,0,0&to=2,2", http.StatusBadRequest, nil)
 	get(t, h, "/path?from=9,0&to=2,2", http.StatusBadRequest, nil)
 	get(t, h, "/path?to=2,2", http.StatusBadRequest, nil)
+	// An inactive from is 404, as for /bfs and /reach.
+	get(t, h, "/path?from=2,0&to=0,1", http.StatusNotFound, nil)
 }
 
 func TestReach(t *testing.T) {
@@ -129,6 +148,7 @@ func TestNeighbors(t *testing.T) {
 	if !seen[[2]int32{1, 0}] || !seen[[2]int32{0, 1}] {
 		t.Fatalf("neighbors = %+v, want (1,0) and (0,1)", resp.Neighbors)
 	}
+	get(t, h, "/neighbors?node=2&stamp=0", http.StatusNotFound, nil) // inactive
 }
 
 func TestCriteria(t *testing.T) {
